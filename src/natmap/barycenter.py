@@ -61,12 +61,6 @@ class BarycenterResult:
     iterations: int
     degenerate_support: bool = False
 
-    @property
-    def point(self) -> HPoint:
-        if self.kind != "interior":
-            raise ValueError("boundary-atom result has no interior point")
-        return self.location
-
 
 # ---------------------------------------------------------------------------
 # the convex functional and its derivatives
@@ -74,7 +68,7 @@ class BarycenterResult:
 
 def phi(beta: BoundaryMeasure, y: HPoint) -> float:
     """phi(y): weighted Busemann average, convex along geodesics."""
-    return float(np.dot(beta.weights, busemann_many(y.coords, beta.points)))
+    return _phi_chart(beta, y.coords)
 
 
 def _phi_chart(beta: BoundaryMeasure, y: np.ndarray) -> float:
@@ -125,12 +119,15 @@ def barycenter(beta: BoundaryMeasure,
     (mass >= 1/2 after clustering) short-circuits to a boundary result.
     """
     cfg = cfg or SolverConfig()
-    mass, loc = max_atom_mass(beta)
-    if mass >= 0.5 - HALF_ATOM_TOL:
-        if abs(mass - 0.5) <= HALF_ATOM_TOL and _is_two_equal_clusters(beta):
+    clusters = max_atom_mass(beta)
+    if clusters.mass >= 0.5 - HALF_ATOM_TOL:
+        # two clusters of mass 1/2 that together hold all the mass
+        masses = np.sort(clusters.masses)[::-1]
+        if (masses.size >= 2 and np.all(np.abs(masses[:2] - 0.5) <= HALF_ATOM_TOL)
+                and masses[2:].sum() <= HALF_ATOM_TOL):
             raise TwoEqualAtomsError(
                 "measure is two Dirac masses of equal weight 1/2")
-        return BarycenterResult(loc, "boundary-atom", float("inf"), 0)
+        return BarycenterResult(clusters.location, "boundary-atom", float("inf"), 0)
 
     y = initial.coords.copy() if initial is not None else _initial_guess(beta)
     degenerate = False
@@ -180,21 +177,6 @@ def barycenter(beta: BoundaryMeasure,
         HPoint(y), float(np.linalg.norm(g)), cfg.max_iterations)
 
 
-def _is_two_equal_clusters(beta: BoundaryMeasure) -> bool:
-    mass1, loc1 = max_atom_mass(beta)
-    if loc1 is None or abs(mass1 - 0.5) > HALF_ATOM_TOL:
-        return False
-    # remove the top cluster and look at what is left
-    keep = (beta.points @ loc1.direction) < np.cos(1e-9) - 0.0
-    w = beta.weights[keep]
-    if w.size == 0:
-        return False
-    rest = BoundaryMeasure(w / w.sum(), beta.points[keep],
-                           np.empty(0), np.empty((0, beta.dimension)))
-    mass2, _ = max_atom_mass(rest)
-    return mass2 >= 1.0 - 1e-9      # the remainder is a single Dirac cluster
-
-
 # ---------------------------------------------------------------------------
 # independent coarse-to-fine grid minimizer (reference method)
 # ---------------------------------------------------------------------------
@@ -223,23 +205,19 @@ def _coercivity_radius(beta: BoundaryMeasure, floor: float = 3.0) -> float:
     return r
 
 
-def grid_minimize_phi(beta: BoundaryMeasure,
-                      radius: float | None = None,
-                      final_step: float = 1e-4,
-                      initial_step: float = 0.25) -> HPoint:
+def grid_minimize_phi(beta: BoundaryMeasure) -> HPoint:
     """Minimize phi by multiscale grid search inside a hyperbolic ball.
 
     Independent of the Newton path: only evaluates phi on ball-chart grids,
-    halving the spacing around the incumbent.  Convexity of phi guarantees
+    halving the spacing from a quarter of the ball radius around the
+    incumbent down to hyperbolic scale 1e-4.  Convexity of phi guarantees
     the coarse-to-fine refinement cannot be trapped away from the minimum.
-    The default ball radius is 3 enlarged by an a-priori coercivity bound
-    when the measure is lopsided enough to push the minimizer deeper.
+    The ball radius is 3 enlarged by an a-priori coercivity bound when the
+    measure is lopsided enough to push the minimizer deeper.
     """
     k = beta.dimension
-    if radius is None:
-        radius = _coercivity_radius(beta)
-    r_ball = np.tanh(radius / 2.0)          # chart radius of the search ball
-    step = initial_step * r_ball
+    r_ball = np.tanh(_coercivity_radius(beta) / 2.0)   # chart radius of the ball
+    step = 0.25 * r_ball
     offsets = np.array(np.meshgrid(*([[-1.0, 0.0, 1.0]] * k))).reshape(k, -1).T
     offsets = offsets[np.any(offsets != 0.0, axis=1)]
     best = np.zeros(k)
@@ -247,7 +225,7 @@ def grid_minimize_phi(beta: BoundaryMeasure,
     # pattern search: walk the grid at each scale until no neighbor improves,
     # then halve the spacing; chart step h corresponds to hyperbolic scale
     # 2h/(1-r^2) at radius r, hence the stopping rescale
-    while step > final_step * (1.0 - r_ball * r_ball) / 2.0:
+    while step > 1e-4 * (1.0 - r_ball * r_ball) / 2.0:
         moved = True
         while moved:
             moved = False

@@ -18,18 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import spd
-from .barycenter import (SolverConfig, TwoEqualAtomsError, barycenter,
-                         grid_minimize_phi)
-from .geometry import HPoint, distance, random_isometry, translation_length
-from .measures import VisualFamily, atomic_measure, pushforward
-from .natural_map import (OrbitBoundaryMap, PushedFamily,
-                          TotallyGeodesicBoundaryMap, convergence_diagnostics,
-                          diagnostics_to_csv, identity_boundary_map, jacobian,
-                          jacobian_bound_check, natural_map, operators_at)
-from .triangulation import (FIG8_VOLUME, bloch_wigner, deformation_path,
-                            figure_eight, gluing_residual,
-                            sample_gluing_variety, volume_of_shapes)
+from . import criteria, spd
+from .barycenter import SolverConfig
+from .geometry import HPoint, random_isometry
+from .measures import VisualFamily, atomic_measure
+from .natural_map import diagnostics_to_csv
+from .triangulation import (FIG8_VOLUME, deformation_path, figure_eight,
+                            sample_gluing_variety)
 
 
 class _Report:
@@ -41,25 +36,23 @@ class _Report:
         self.assertions = []
         self.payload = {}
 
-    def check(self, name: str, value: float, bound: float,
-              kind: str = "<=", budget: str = "") -> bool:
-        ok = value <= bound if kind == "<=" else value >= bound
+    def check(self, name: str, value: float, bound: float, budget: str = "") -> None:
         self.assertions.append({
             "name": name, "value": float(value), "bound": float(bound),
-            "kind": kind, "pass": bool(ok), "budget": budget,
+            "kind": "<=", "pass": bool(value <= bound), "budget": budget,
         })
-        return bool(ok)
 
-    def note(self, name: str, passed: bool, detail: str = "") -> bool:
+    def note(self, name: str, passed: bool, detail: str = "") -> None:
         self.assertions.append({"name": name, "pass": bool(passed),
                                 "detail": detail})
-        return bool(passed)
 
     @property
     def passed(self) -> bool:
         return all(a["pass"] for a in self.assertions)
 
-    def dump(self, out_dir: Path) -> None:
+    def dump(self, out_dir: Path) -> int:
+        """Write the JSON report, print one line per assertion and return
+        the exit code."""
         out_dir.mkdir(parents=True, exist_ok=True)
         data = {"command": self.command, "params": self.params,
                 "assertions": self.assertions, "pass": self.passed}
@@ -71,6 +64,7 @@ class _Report:
                  for a in self.assertions]
         print("\n".join(lines))
         print(f"report: {path}")
+        return 0 if self.passed else 1
 
 
 def _write_csv(out_dir: Path, name: str, header: str, rows) -> None:
@@ -117,8 +111,7 @@ def cmd_psi_scan(args) -> int:
         rep.check("vertex_envelope_ratio", scan.max_value, scan.threshold,
                   budget="envelope s^(k-3)/(k-1)^(k-1), correction (1-s)^(3-2k)")
         rep.payload["vertex_scan"] = json.loads(scan.to_json())
-    rep.dump(Path(args.out))
-    return 0 if rep.passed else 1
+    return rep.dump(Path(args.out))
 
 
 def cmd_psi_converse(args) -> int:
@@ -138,308 +131,184 @@ def cmd_psi_converse(args) -> int:
                       budget=f"eigenvalue grid step {res.grid_step}")
     else:
         rep.note("reported_only", True, f"delta_max={res.delta_max_sampled}")
-    rep.dump(Path(args.out))
-    return 0 if rep.passed else 1
+    return rep.dump(Path(args.out))
+
+
+def _spread_atoms(rng, n: int):
+    """Measure of n random atoms; None when an atom reaches 1/2."""
+    pts = rng.standard_normal((n, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    w = rng.dirichlet(np.ones(n))
+    return None if w.max() >= 0.5 - 1e-9 else atomic_measure(w, pts)
 
 
 def cmd_barycenter_suite(args) -> int:
     rep = _Report("barycenter-suite", {"seed": args.seed, "tol": args.tol})
     rng = np.random.default_rng(args.seed)
-    cfg = SolverConfig(gradient_tol=args.tol)
-    tight = SolverConfig(gradient_tol=1e-12)
-
-    worst_grad, rows = 0.0, []
-    for i in range(50):
-        n = int(rng.integers(3, 7))
-        pts = rng.standard_normal((n, 3))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        w = rng.dirichlet(np.ones(n))
-        if w.max() >= 0.5 - 1e-9:
-            continue
-        m = atomic_measure(w, pts)
-        r = barycenter(m, cfg)
-        worst_grad = max(worst_grad, r.gradient_norm)
-        rows.append(f"{i},{_fmt(r.gradient_norm)},{r.iterations}")
-    rep.check("stationarity", worst_grad, args.tol, budget="Newton gradient tolerance")
+    stationarity = [(i, _spread_atoms(rng, int(rng.integers(3, 7)))) for i in range(50)]
+    equivariance = []
+    while len(equivariance) < 100:
+        m = _spread_atoms(rng, int(rng.integers(3, 7)))
+        if m is not None:
+            equivariance.append((m, random_isometry(rng, 3, 0.7, 0.7)))
+    oracle = [_spread_atoms(rng, 4) for _ in range(20)]
+    res = criteria.barycenter_checks([(i, m) for i, m in stationarity if m is not None],
+                                     equivariance, [m for m in oracle if m is not None],
+                                     SolverConfig(gradient_tol=args.tol))
+    rep.check("stationarity", res.gradient, args.tol, budget="Newton gradient tolerance")
     _write_csv(Path(args.out), "barycenter-stationarity.csv",
-               "index,gradient_norm,iterations", rows)
-
-    worst_eq = 0.0
-    count = 0
-    while count < 100:
-        n = int(rng.integers(3, 7))
-        pts = rng.standard_normal((n, 3))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        w = rng.dirichlet(np.ones(n))
-        if w.max() >= 0.5 - 1e-9:
-            continue
-        count += 1
-        m = atomic_measure(w, pts)
-        g = random_isometry(rng, 3, 0.7, 0.7)
-        lhs = barycenter(pushforward(m, g), tight).location
-        rhs = g.apply(barycenter(m, tight).location)
-        worst_eq = max(worst_eq, distance(lhs, rhs))
-    rep.check("equivariance", worst_eq, 1e-8,
+               "index,gradient_norm,iterations",
+               [f"{i},{_fmt(g)},{it}" for i, g, it in res.rows])
+    rep.check("equivariance", res.equivariance, 1e-8,
               budget="two solves at gradient tolerance 1e-12")
-
-    worst_or = 0.0
-    for _ in range(20):
-        pts = rng.standard_normal((4, 3))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        w = rng.dirichlet(np.ones(4))
-        if w.max() >= 0.5 - 1e-9:
-            continue
-        m = atomic_measure(w, pts)
-        worst_or = max(worst_or, distance(barycenter(m, cfg).location,
-                                          grid_minimize_phi(m)))
-    rep.check("grid_oracle_agreement", worst_or, 2e-3,
+    rep.check("grid_oracle_agreement", res.oracle, 2e-3,
               budget="pattern search to chart step 1e-4")
+    rep.note("two_equal_atoms_raises", res.two_equal_atoms_raise)
+    return rep.dump(Path(args.out))
 
-    try:
-        barycenter(atomic_measure([0.5, 0.5], [[1, 0, 0], [-1, 0, 0]]), cfg)
-        rep.note("two_equal_atoms_raises", False)
-    except TwoEqualAtomsError:
-        rep.note("two_equal_atoms_raises", True)
-    rep.dump(Path(args.out))
-    return 0 if rep.passed else 1
+
+def _ball_probes(rng, n: int, r_lo: float, r_hi: float) -> list[HPoint]:
+    """n points of H^3 at hyperbolic radius uniform in [r_lo, r_hi]."""
+    probes = []
+    for _ in range(n):
+        d = rng.standard_normal(3)
+        d /= np.linalg.norm(d)
+        probes.append(HPoint(np.tanh(rng.uniform(r_lo, r_hi) / 2.0) * d))
+    return probes
 
 
 def cmd_natural_map_suite(args) -> int:
     rep = _Report("natural-map-suite", {"nodes": args.nodes, "m": args.m,
                                         "seed": args.seed})
-    rng = np.random.default_rng(args.seed)
-    k = 3
-    fam = VisualFamily(k, args.nodes)
-    fam4 = VisualFamily(k, 4 * args.nodes)
-    probes = []
-    for _ in range(50):
-        d = rng.standard_normal(k)
-        d /= np.linalg.norm(d)
-        probes.append(HPoint(np.tanh(rng.uniform(0.05, 1.0) / 2.0) * d))
+    fam = VisualFamily(3, args.nodes)
+    try:
+        VisualFamily(3, 4 * args.nodes).quadrature()
+    except ValueError as exc:
+        print(f"usage error: the four-fold refinement of --nodes: {exc}",
+              file=sys.stderr)
+        return 2
+    probes = _ball_probes(np.random.default_rng(args.seed), 50, 0.05, 1.0)
 
-    pushed = PushedFamily(identity_boundary_map(k), fam)
-    pushed4 = PushedFamily(identity_boundary_map(k), fam4)
-    errs, errs4, rows = [], [], []
-    hdev, jdev, bdev = 0.0, 0.0, 0.0
-    for i, p in enumerate(probes):
-        F = natural_map(None, pushed, fam, p)
-        errs.append(distance(F, p))
-        errs4.append(distance(natural_map(None, pushed4, fam4, p), p))
-        pair = operators_at(None, pushed, fam, p, image=F)
-        j = jacobian(None, pushed, fam, p, "implicit", pair=pair)
-        br = jacobian_bound_check(pair, j, k, k)
-        hdev = max(hdev, float(np.linalg.norm(pair.H - np.eye(k) / k)))
-        jdev = max(jdev, abs(j.jac_k - 1.0))
-        bdev = max(bdev, abs(br.bound - 1.0))
-        rows.append(f"{i},{_fmt(errs[-1])},{_fmt(j.jac_k)},{_fmt(br.bound)}")
+    ident = criteria.identity_checks(probes, fam)
     _write_csv(Path(args.out), "natural-map-identity.csv",
-               "probe,displacement,jac,bound", rows)
-    rep.check("identity_displacement", max(errs), 5e-4,
+               "probe,displacement,jac,bound",
+               [f"{i},{_fmt(d)},{_fmt(j)},{_fmt(b)}" for i, (d, j, b) in enumerate(ident.rows)])
+    rep.check("identity_displacement", ident.displacement, 5e-4,
               budget=f"{fam.quadrature()[0].shape[0]} nodes, solver 1e-10")
-    rep.check("identity_displacement_4N", max(errs4), 2.5e-4,
+    rep.check("identity_displacement_4N", ident.displacement_fine, 2.5e-4,
               budget="four-fold node refinement")
-    rep.check("H_isotropy", hdev, 1e-3)
-    rep.check("jacobian_identity", jdev, 1e-3)
-    rep.check("bound_value_identity", bdev, 1e-3)
+    rep.check("H_isotropy", ident.h_deviation, 1e-3)
+    rep.check("jacobian_identity", ident.jac_deviation, 1e-3)
+    rep.check("bound_value_identity", ident.bound_deviation, 1e-3)
 
-    if args.m > k:
-        D5 = TotallyGeodesicBoundaryMap(k, args.m)
-        pushed5 = PushedFamily(D5, fam)
-        off, agree, hv = 0.0, 0.0, 0.0
-        for p in probes[:20]:
-            F5 = natural_map(None, pushed5, fam, p)
-            off = max(off, float(np.linalg.norm(F5.coords[k:])))
-            agree = max(agree, float(np.linalg.norm(F5.coords[:k] - natural_map(None, pushed, fam, p).coords)))
-            pair5 = operators_at(None, pushed5, fam, p, image=F5)
-            j5 = jacobian(None, pushed5, fam, p, "implicit", pair=pair5)
-            br5 = jacobian_bound_check(pair5, j5, k, args.m)
-            Q, _ = np.linalg.qr(j5.DF)
-            hv = max(hv, float(np.linalg.norm(Q.T @ pair5.H @ Q - np.eye(k) / k)))
-            if not br5.passed:
-                rep.note("restricted_bound", False)
-        rep.check("geodesic_copy_confinement", off, 5e-4)
-        rep.check("geodesic_copy_agreement", agree, 5e-4)
-        rep.check("restricted_H_isotropy", hv, 1e-3)
+    if args.m > 3:
+        copy = criteria.geodesic_copy_checks(probes[:20], fam, args.m)
+        for _ in range(copy.bound_failures):
+            rep.note("restricted_bound", False)
+        rep.check("geodesic_copy_confinement", copy.confinement, 5e-4)
+        rep.check("geodesic_copy_agreement", copy.agreement, 5e-4)
+        rep.check("restricted_H_isotropy", copy.h_deviation, 1e-3)
 
     # deformed configurations with the orbit-approximation boundary map
-    tri = figure_eight()
-    path = deformation_path(tri, steps=20, t_end=0.6)
-    complete = path[0].representation
-    worst_jac, worst_margin, worst_x = 0.0, float("inf"), 0.0
-    drows = []
-    for idx, st in enumerate(path[1:], start=1):
-        D = OrbitBoundaryMap.build(complete, st.representation,
-                                   max_word_length=8, min_table=5000)
-        dpushed = PushedFamily(D, fam)
-        p = probes[idx % len(probes)]
-        pair = operators_at(st.representation, dpushed, fam, p)
-        ji = jacobian(st.representation, dpushed, fam, p, "implicit", pair=pair)
-        jf = jacobian(st.representation, dpushed, fam, p, "finite-difference", pair=pair)
-        br = jacobian_bound_check(pair, ji, k, k)
-        worst_jac = max(worst_jac, ji.jac_k)
-        worst_margin = min(worst_margin, br.bound - ji.jac_k)
-        worst_x = max(worst_x, float(np.max(np.abs(ji.DF - jf.DF))))
-        drows.append(f"{_fmt(st.t)},{_fmt(ji.jac_k)},{_fmt(br.bound)},approximate-D")
+    path = deformation_path(figure_eight(), steps=20, t_end=0.6)
+    deformed = criteria.deformed_jacobian_checks(
+        path, [probes[i % len(probes)] for i in range(1, len(path))], fam)
     _write_csv(Path(args.out), "natural-map-deformed.csv",
-               "parameter,jac,bound,label", drows)
-    rep.check("deformed_jac_below_one", worst_jac, 1.0 + 5e-3,
+               "parameter,jac,bound,label",
+               [f"{_fmt(t)},{_fmt(j)},{_fmt(b)},approximate-D" for t, j, b in deformed.rows])
+    rep.check("deformed_jac_below_one", deformed.jac, 1.0 + 5e-3,
               budget="orbit table >= 5000 words, labeled approximate-D")
-    rep.check("deformed_bound_margin", -worst_margin, 1e-3,
+    rep.check("deformed_bound_margin", -deformed.bound_margin, 1e-3,
               budget="bound minus measured Jacobian")
-    rep.check("fd_vs_implicit", worst_x, 1e-3, budget="fd step 1e-4")
-    rep.dump(Path(args.out))
-    return 0 if rep.passed else 1
+    rep.check("fd_vs_implicit", deformed.fd_gap, 1e-3, budget="fd step 1e-4")
+    return rep.dump(Path(args.out))
 
 
 def cmd_volume_path(args) -> int:
     rep = _Report("volume-path", {"steps": args.steps, "seed": args.seed})
-    tri = figure_eight()
-    z0 = complex(0.5, np.sqrt(3.0) / 2.0)
-    res = gluing_residual(tri, [z0, z0])
-    rep.check("complete_edge_residual", res.max_edge(), 1e-12)
-    rep.check("complete_cusp_residual", res.max_cusp(), 1e-12)
-    vol = volume_of_shapes(tri, [z0, z0])
-    rep.check("complete_volume", abs(vol.value - FIG8_VOLUME), 1e-9,
+    path = deformation_path(figure_eight(), steps=args.steps)
+    samples = sample_gluing_variety(np.random.default_rng(args.seed), 10000)
+    res = criteria.volume_checks(path, samples)
+    rep.check("complete_edge_residual", res.edge_residual, 1e-12)
+    rep.check("complete_cusp_residual", res.cusp_residual, 1e-12)
+    rep.check("complete_volume", abs(res.volume.value - FIG8_VOLUME), 1e-9,
               budget="dilogarithm series, error estimate "
-                     f"{vol.error_estimate:.1e}")
-    path = deformation_path(tri, steps=args.steps)
-    hol = path[0].representation
-    rep.check("relator_residual",
-              max(hol.relator_residual(r) for r in hol.relators), 1e-8)
-    rep.check("parabolic_generators",
-              max(translation_length(g) for g in hol.generators), 1e-6)
-    rows = []
-    for st in path:
-        deficit = FIG8_VOLUME - st.volume.value
-        lens = ";".join(_fmt(translation_length(g))
-                        for g in st.representation.generators)
-        rows.append(",".join([
-            _fmt(st.t), _fmt(st.shapes[0].real), _fmt(st.shapes[0].imag),
-            _fmt(st.shapes[1].real), _fmt(st.shapes[1].imag),
-            _fmt(st.volume.value), _fmt(deficit), lens,
-        ]))
+                     f"{res.volume.error_estimate:.1e}")
+    rep.check("relator_residual", res.relator_residual, 1e-8)
+    rep.check("parabolic_generators", res.generator_translation, 1e-6)
+    rows = [",".join([_fmt(t), _fmt(z[0].real), _fmt(z[0].imag), _fmt(z[1].real),
+                      _fmt(z[1].imag), _fmt(vol), _fmt(deficit),
+                      ";".join(_fmt(x) for x in lengths)])
+            for t, z, vol, deficit, lengths in res.rows]
     _write_csv(Path(args.out), "volume-path.csv",
                "t,re_z0,im_z0,re_z1,im_z1,volume,deficit,translation_lengths",
                rows)
-    deficits = [FIG8_VOLUME - st.volume.value for st in path if st.t >= 1e-2]
-    rep.check("path_deficit_positive", -min(deficits), -1e-6,
+    rep.check("path_deficit_positive", -res.path_deficit, -1e-6,
               budget="straight-map volume along the continuation path")
-    tail = [FIG8_VOLUME - st.volume.value for st in path
-            if st.min_pole_distance < 1e-2]
-    rep.check("near_ideal_deficit", -min(tail) if tail else 0.0, -1e-6,
+    rep.check("near_ideal_deficit",
+              -res.tail_deficit if res.tail_deficit is not None else 0.0, -1e-6,
               budget="tail = steps with a shape within 1e-2 of a pole")
-    rng = np.random.default_rng(args.seed)
-    samples = sample_gluing_variety(rng, 10000)
-    vols = bloch_wigner(samples[:, 0]) + bloch_wigner(samples[:, 1])
-    rep.check("variety_volume_bound", float(vols.max()), FIG8_VOLUME + 1e-9,
+    rep.check("variety_volume_bound", res.sample_volume, FIG8_VOLUME + 1e-9,
               budget="10000 random rectangular edge-equation solutions")
-    dist = np.maximum(np.abs(samples[:, 0] - z0), np.abs(samples[:, 1] - z0))
-    far = dist > 1e-6
-    strict = bool(np.all(vols[far] < FIG8_VOLUME))
-    rep.note("strict_deficit_off_complete", strict,
+    rep.note("strict_deficit_off_complete", res.strict_deficit,
              "volume < Vol(M) for every sample with shape distance > 1e-6")
-    rep.dump(Path(args.out))
-    return 0 if rep.passed else 1
+    return rep.dump(Path(args.out))
 
 
 def cmd_rigidity_report(args) -> int:
     rep = _Report("rigidity-report", {"steps": args.steps, "nodes": args.nodes,
                                       "seed": args.seed})
-    tri = figure_eight()
-    fam = VisualFamily(3, args.nodes)
-    path = deformation_path(tri, steps=args.steps)
-    complete = path[0].representation
-    rng = np.random.default_rng(args.seed)
-    probes = []
-    for _ in range(4):
-        d = rng.standard_normal(3)
-        d /= np.linalg.norm(d)
-        probes.append(HPoint(np.tanh(rng.uniform(0.1, 0.5) / 2.0) * d))
-    entries = []
-    for st in path[1:]:
-        D = OrbitBoundaryMap.build(complete, st.representation,
-                                   max_word_length=8, min_table=5000)
-        entries.append((st.t, st.representation, D, st.volume.value))
-    diag = convergence_diagnostics(entries, fam, probes, FIG8_VOLUME)
+    path = deformation_path(figure_eight(), steps=args.steps)
+    probes = _ball_probes(np.random.default_rng(args.seed), 4, 0.1, 0.5)
+    diag = criteria.path_diagnostics(path, VisualFamily(3, args.nodes), probes)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "rigidity-report.csv").write_text(diagnostics_to_csv(diag),
+    (out_dir / "rigidity-report.csv").write_text(diagnostics_to_csv(diag.rows),
                                                  encoding="utf-8")
-    hs, js, deficits, regime = [], [], [], []
-    for step_rows in (diag[i:i + len(probes)]
-                      for i in range(0, len(diag), len(probes))):
-        hs.append(float(np.median([r.h_deviation for r in step_rows])))
-        js.append(float(np.median([abs(1.0 - r.jac) for r in step_rows])))
-        deficits.append(step_rows[0].volume_deficit)
-        if max(r.h_lambda_max for r in step_rows) <= 2.0 / 3.0:
-            regime.append((max(r.df_norm for r in step_rows),
-                           max(r.h_eigen_dev for r in step_rows)))
-    mono = lambda a: all(a[i] < a[i + 1] for i in range(len(a) - 1))
-    rep.note("H_deviation_monotone", mono(hs))
-    rep.note("jac_deviation_monotone", mono(js))
-    rep.note("deficit_monotone", mono(deficits))
-    # the derivative bound is valid only while the largest eigenvalue of H
-    # stays at most 2/3; deeper degenerations leave its regime
-    eps = max(e for _, e in regime)
-    rep.check("derivative_norm_bound",
-              max(d for d, _ in regime), float(np.sqrt(3) + 4.5 * eps),
+    for name, ok in zip(("H_deviation_monotone", "jac_deviation_monotone",
+                         "deficit_monotone"), diag.monotone):
+        rep.note(name, ok)
+    rep.check("derivative_norm_bound", diag.df_norm,
+              float(np.sqrt(3) + 4.5 * diag.eigen_dev),
               budget=f"eps = max eigenvalue deviation of H from 1/3 over the "
-                     f"{len(regime)} steps with lambda_max <= 2/3")
-    rep.dump(Path(args.out))
-    return 0 if rep.passed else 1
+                     f"{diag.regime_steps} steps with lambda_max <= 2/3")
+    return rep.dump(Path(args.out))
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_common(sp, **defaults):
-    sp.add_argument("--seed", type=int, default=defaults.get("seed", 0))
-    sp.add_argument("--out", type=str, default=defaults.get("out", "natmap-reports"))
-    sp.add_argument("--config", type=str, default=None,
-                    help="JSON file with flag defaults; explicit flags win")
+# name, handler, help, command flags (flag, type, default), default seed
+_COMMANDS = (
+    ("psi-scan", cmd_psi_scan, "maximum and boundary analysis of psi",
+     (("--k", int, 3), ("--margin", float, 1e-3), ("--samples", int, 100_000)), 0),
+    ("psi-converse", cmd_psi_converse, "level sets of psi near the maximum",
+     (("--k", int, 3), ("--eps", float, 1e-4), ("--trials", int, 100_000)), 0),
+    ("barycenter-suite", cmd_barycenter_suite, "barycenter solver checks",
+     (("--tol", float, 1e-10),), 7),
+    ("natural-map-suite", cmd_natural_map_suite, "natural map and Jacobian checks",
+     (("--nodes", int, 2000), ("--m", int, 5)), 0),
+    ("volume-path", cmd_volume_path, "figure-eight volumes and rigidity scan",
+     (("--steps", int, 50),), 0),
+    ("rigidity-report", cmd_rigidity_report, "diagnostics along the deformation path",
+     (("--steps", int, 50), ("--nodes", int, 2000)), 0),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="natmap",
                                  description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("psi-scan", help="maximum and boundary analysis of psi")
-    sp.add_argument("--k", type=int, default=3)
-    sp.add_argument("--margin", type=float, default=1e-3)
-    sp.add_argument("--samples", type=int, default=100_000)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_psi_scan)
-
-    sp = sub.add_parser("psi-converse", help="level sets of psi near the maximum")
-    sp.add_argument("--k", type=int, default=3)
-    sp.add_argument("--eps", type=float, default=1e-4)
-    sp.add_argument("--trials", type=int, default=100_000)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_psi_converse)
-
-    sp = sub.add_parser("barycenter-suite", help="barycenter solver checks")
-    sp.add_argument("--tol", type=float, default=1e-10)
-    _add_common(sp, seed=7)
-    sp.set_defaults(func=cmd_barycenter_suite)
-
-    sp = sub.add_parser("natural-map-suite", help="natural map and Jacobian checks")
-    sp.add_argument("--nodes", type=int, default=2000)
-    sp.add_argument("--m", type=int, default=5)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_natural_map_suite)
-
-    sp = sub.add_parser("volume-path", help="figure-eight volumes and rigidity scan")
-    sp.add_argument("--steps", type=int, default=50)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_volume_path)
-
-    sp = sub.add_parser("rigidity-report", help="diagnostics along the deformation path")
-    sp.add_argument("--steps", type=int, default=50)
-    sp.add_argument("--nodes", type=int, default=2000)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_rigidity_report)
+    for name, func, help_text, flags, seed in _COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        for flag, kind, default in flags:
+            sp.add_argument(flag, type=kind, default=default)
+        sp.add_argument("--seed", type=int, default=seed)
+        sp.add_argument("--out", type=str, default="natmap-reports")
+        sp.add_argument("--config", type=str, default=None,
+                        help="JSON file with flag defaults; explicit flags win")
+        sp.set_defaults(func=func)
     return ap
 
 

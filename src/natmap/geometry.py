@@ -352,22 +352,13 @@ class Isometry:
         # J g^T J is the exact Lorentz inverse; cheaper and better
         # conditioned than a generic matrix inverse.
         J = minkowski(self.dimension + 1)
-        spin = None
-        if self.spin is not None:
-            a, b, c, d = self.spin.ravel()
-            spin = np.array([[d, -b], [-c, a]])  # unit determinant assumed
+        spin = None if self.spin is None else adjugate(self.spin)
         return Isometry._raw(J @ self.lorentz.T @ J, spin)
 
     def apply(self, x: HPoint) -> HPoint:
         if x.dimension != self.dimension:
             raise DimensionMismatchError("point of wrong dimension")
         return HPoint(hyperboloid_to_ball(self.lorentz @ ball_to_hyperboloid(x.coords)))
-
-    def apply_tangent(self, v: TangentVector) -> TangentVector:
-        x = v.base.coords
-        U = self.lorentz @ tangent_to_hyperboloid(x, v.vec)
-        Y = self.lorentz @ ball_to_hyperboloid(x)
-        return TangentVector(HPoint(hyperboloid_to_ball(Y)), tangent_to_ball(Y, U))
 
     def apply_boundary(self, theta: BoundaryPoint) -> BoundaryPoint:
         return boundary_action(self, theta)
@@ -585,6 +576,13 @@ def complex_from_sphere(theta: BoundaryPoint) -> complex:
     if abs(1.0 - d[2]) < 1e-15:
         return cmath.inf
     return complex(d[0], -d[1]) / (1.0 - d[2])
+
+
+def adjugate(A: np.ndarray) -> np.ndarray:
+    """Adjugate of a 2x2 complex matrix: the inverse Mobius map, and the
+    inverse matrix when det A = 1."""
+    a, b, c, d = A.ravel()
+    return np.array([[d, -b], [-c, a]], dtype=complex)
 
 
 def mobius_apply(A: np.ndarray, z: complex) -> complex:

@@ -22,6 +22,7 @@ from .geometry import BoundaryPoint, HPoint, Isometry, busemann_many
 
 MASS_TOL = 1e-10
 ATOM_CLUSTER_TOL = 1e-9  # radians
+MAX_GAUSS_ORDER = 81     # largest per-axis order of the product rule
 
 
 # ---------------------------------------------------------------------------
@@ -92,12 +93,12 @@ def sphere_quadrature(k: int, n: int, rule: str = "auto") -> tuple[np.ndarray, n
         pts = np.concatenate([pts, -pts])
         return pts, np.full(2 * half, 0.5 / half)
     if rule == "product-gauss":
-        order = 2
-        while True:
+        for order in range(2, MAX_GAUSS_ORDER + 1):
             pts, w = _product_sphere(k - 1, order)
-            if pts.shape[0] >= n or order > 80:
+            if pts.shape[0] >= n:
                 return pts, w
-            order += 1
+        raise ValueError(f"product-gauss rule on S^{k - 1} reaches at most "
+                         f"{pts.shape[0]} nodes; {n} requested")
     raise ValueError(f"unknown quadrature rule '{rule}'")
 
 
@@ -160,13 +161,6 @@ class BoundaryMeasure:
     @property
     def dimension(self) -> int:
         return self.atom_points.shape[1] if self.atom_points.size else self.node_points.shape[1]
-
-    @property
-    def tag(self) -> str:
-        has_a, has_n = self.atom_weights.size > 0, self.node_weights.size > 0
-        if has_a and has_n:
-            return "mixed"
-        return "atomic" if has_a else "quadrature"
 
     @property
     def weights(self) -> np.ndarray:
@@ -314,16 +308,24 @@ def pushforward(beta: BoundaryMeasure, f) -> BoundaryMeasure:
     return BoundaryMeasure(beta.atom_weights, ap, beta.node_weights, npts)
 
 
-def max_atom_mass(beta: BoundaryMeasure,
-                  tol: float = ATOM_CLUSTER_TOL) -> tuple[float, BoundaryPoint | None]:
-    """Largest clustered mass after merging points within angular ``tol``."""
+@dataclass(frozen=True)
+class AtomClusters:
+    """Points of a measure merged into clusters within ATOM_CLUSTER_TOL."""
+
+    mass: float               # of the heaviest cluster
+    location: BoundaryPoint   # weighted direction of the heaviest cluster
+    masses: np.ndarray        # mass of each cluster
+    labels: np.ndarray        # cluster of each point, an index into masses
+
+
+def max_atom_mass(beta: BoundaryMeasure) -> AtomClusters:
+    """One clustering pass over the points of the measure; ``.mass`` is
+    the largest clustered mass and ``.location`` its direction."""
     w = beta.weights
     p = beta.points
-    if w.size == 0:
-        return 0.0, None
-    chord = 2.0 * np.sin(min(tol, np.pi) / 2.0)
+    chord = 2.0 * np.sin(ATOM_CLUSTER_TOL / 2.0)
     tree = cKDTree(p)
-    pairs = tree.query_pairs(r=max(chord, 1e-300), output_type="ndarray")
+    pairs = tree.query_pairs(r=chord, output_type="ndarray")
     if pairs.size:
         graph = coo_matrix((np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])),
                            shape=(w.size, w.size))
@@ -335,8 +337,5 @@ def max_atom_mass(beta: BoundaryMeasure,
     members = labels == top
     loc = np.average(p[members], axis=0, weights=w[members])
     norm = np.linalg.norm(loc)
-    if norm < 1e-12:
-        loc = p[members][0]
-    else:
-        loc = loc / norm
-    return float(masses[top]), BoundaryPoint(loc)
+    loc = p[members][0] if norm < 1e-12 else loc / norm
+    return AtomClusters(float(masses[top]), BoundaryPoint(loc), masses, labels)

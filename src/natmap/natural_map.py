@@ -43,29 +43,11 @@ class ElementaryRepresentationError(ValueError):
     """The representation is elementary: the pushed measure concentrates."""
 
 
-class IllConditionedKError(RuntimeError):
-    """The operator I - H is numerically singular."""
-
-
 # ---------------------------------------------------------------------------
 # representations
 # ---------------------------------------------------------------------------
 
 _LETTERS = "abcdefgh"
-
-
-def _invert_word(word: str) -> str:
-    return word[::-1].swapcase()
-
-
-def reduce_word(word: str) -> str:
-    out: list[str] = []
-    for ch in word:
-        if out and out[-1] == ch.swapcase():
-            out.pop()
-        else:
-            out.append(ch)
-    return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -296,9 +278,9 @@ class OrbitBoundaryMap:
         return self.table_target[idx]
 
     def equivariance_report(self, source_gens, target_gens,
-                            rng: np.random.Generator, n_samples: int = 100) -> float:
-        """Max angular deviation of D(g x) from rho(g) D(x) on random x."""
-        x = rng.standard_normal((n_samples, self.source_dim))
+                            rng: np.random.Generator) -> float:
+        """Max angular deviation of D(g x) from rho(g) D(x) on 100 random x."""
+        x = rng.standard_normal((100, self.source_dim))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         worst = 0.0
         for gs, gt in zip(source_gens, target_gens):
@@ -433,6 +415,8 @@ def jacobian(rho: Representation | None, D, family: VisualFamily, x: HPoint,
     normal coordinates.  An ill-conditioned K (smallest eigenvalue below
     1e-6) triggers the finite-difference fallback, flagged on the result.
     """
+    if method not in ("implicit", "finite-difference"):
+        raise ValueError(f"unknown method '{method}'")
     pushed = D if isinstance(D, PushedFamily) else PushedFamily(D, family)
     xc = x.coords
     if pair is None:
@@ -440,24 +424,17 @@ def jacobian(rho: Representation | None, D, family: VisualFamily, x: HPoint,
     image = pair.image
     kmin = float(np.linalg.eigvalsh(pair.K)[0])
     k = family.dimension
-    if method == "implicit":
-        if kmin < K_CONDITION_FLOOR:
-            DF = _finite_difference_DF(pushed, xc, image, cfg, h)
-            sv = np.linalg.svd(DF, compute_uv=False)
-            return JacobianResult(DF, float(np.prod(sv[:k])), "finite-difference",
-                                  kmin, fell_back=True)
+    fell_back = method == "implicit" and kmin < K_CONDITION_FLOOR
+    if method == "implicit" and not fell_back:
         w = pushed.weights_at(xc)
         b = busemann_gradients_frame(image.coords, pushed.images)
         a = busemann_gradients_frame(xc, pushed.nodes)
-        L = np.einsum("i,ij,il->jl", w, b, a)
-        DF = (k - 1) * np.linalg.solve(pair.K, L)
-        sv = np.linalg.svd(DF, compute_uv=False)
-        return JacobianResult(DF, float(np.prod(sv[:k])), "implicit", kmin)
-    if method == "finite-difference":
+        DF = (k - 1) * np.linalg.solve(pair.K, np.einsum("i,ij,il->jl", w, b, a))
+    else:
         DF = _finite_difference_DF(pushed, xc, image, cfg, h)
-        sv = np.linalg.svd(DF, compute_uv=False)
-        return JacobianResult(DF, float(np.prod(sv[:k])), "finite-difference", kmin)
-    raise ValueError(f"unknown method '{method}'")
+        method = "finite-difference"
+    sv = np.linalg.svd(DF, compute_uv=False)
+    return JacobianResult(DF, float(np.prod(sv[:k])), method, kmin, fell_back=fell_back)
 
 
 @dataclass(frozen=True)
@@ -513,15 +490,6 @@ def equivariance_deviation(rho: Representation, D, family: VisualFamily,
     gx = source_action.apply(x)
     return distance(natural_map(rho, pushed, family, gx, cfg),
                     rho.evaluate(letter).apply(fx))
-
-
-def discretization_error_estimate(D, family: VisualFamily, x: HPoint,
-                                  cfg: SolverConfig | None = None) -> float:
-    """Richardson-style error gauge: distance between F at N and 4N nodes."""
-    fine = VisualFamily(family.dimension, 4 * family.nodes, family.rule)
-    f1 = natural_map(None, D, family, x, cfg)
-    f2 = natural_map(None, D, fine, x, cfg)
-    return distance(f1, f2)
 
 
 # ---------------------------------------------------------------------------

@@ -85,15 +85,13 @@ def psi_simplex(a) -> float | np.ndarray:
     return float(val) if np.ndim(val) == 0 else val
 
 
-def random_trace_one_spd(rng: np.random.Generator, k: int, size: int,
-                         concentration: float = 1.0) -> np.ndarray:
+def random_trace_one_spd(rng: np.random.Generator, k: int, size: int) -> np.ndarray:
     """(size, k, k) random trace-one SPD matrices.
 
-    Eigenvalues from a symmetric Dirichlet (covers the whole simplex,
-    boundary included for small concentration), conjugated by Q from the QR
-    factorization of a Gaussian matrix.
+    Eigenvalues uniform on the simplex (a flat Dirichlet), conjugated by Q
+    from the QR factorization of a Gaussian matrix.
     """
-    eigs = rng.dirichlet(np.full(k, concentration), size=size)
+    eigs = rng.dirichlet(np.ones(k), size=size)
     g = rng.standard_normal((size, k, k))
     q, r = np.linalg.qr(g)
     # fix the sign convention so Q is Haar distributed
@@ -232,9 +230,9 @@ def boundary_bound_scan(k: int, margin: float, samples: int,
                       bool(ratio[top] <= threshold))
 
 
-def edge_limit_values(alpha: float, k: int = 3,
+def edge_limit_values(alpha: float,
                       distances=(1e-4, 1e-5, 1e-6, 1e-7, 1e-8)) -> tuple[np.ndarray, float]:
-    """Psi along an approach to the non-vertex boundary point (alpha, 0, 1-alpha).
+    """k = 3 Psi along an approach to the non-vertex boundary point (alpha, 0, 1-alpha).
 
     Returns the sampled values and the Richardson-extrapolated limit
     (Psi vanishes linearly in the approach distance).

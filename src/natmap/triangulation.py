@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import psl2_to_lorentz
-from .natural_map import Representation
+from .geometry import adjugate, mobius_apply, psl2_to_lorentz
+from .natural_map import _LETTERS, Representation
 
 TWO_PI_I = 2j * np.pi
 
@@ -305,21 +305,6 @@ def _mobius_to_zero_inf_one(a: complex, b: complex, c: complex) -> np.ndarray:
     return np.array([[c - b, -a * (c - b)], [c - a, -b * (c - a)]], dtype=complex)
 
 
-def _mobius_inverse(M: np.ndarray) -> np.ndarray:
-    a, b, c, d = M.ravel()
-    return np.array([[d, -b], [-c, a]], dtype=complex)
-
-
-def _apply(M: np.ndarray, z: complex) -> complex:
-    a, b, c, d = M.ravel()
-    if z == cmath.inf:
-        return a / c if c != 0 else cmath.inf
-    den = c * z + d
-    if den == 0:
-        return cmath.inf
-    return (a * z + b) / den
-
-
 def _normalize_det(M: np.ndarray) -> np.ndarray:
     det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
     if det == 0:
@@ -330,7 +315,7 @@ def _normalize_det(M: np.ndarray) -> np.ndarray:
 def cross_ratio(p0: complex, p1: complex, p2: complex, p3: complex) -> complex:
     """cr with cr(0, inf, 1, z) = z; the developed edge (p0, p1) parameter."""
     M = _mobius_to_zero_inf_one(p0, p1, p2)
-    return _apply(M, p3)
+    return mobius_apply(M, p3)
 
 
 _NORMALIZED = (0.0 + 0.0j, cmath.inf, 1.0 + 0.0j)
@@ -353,10 +338,10 @@ def _place_through_face(positions, face: int, perm, z_new: complex):
     idx = sorted(known.keys())
     M_norm = _mobius_to_zero_inf_one(*(norm[v] for v in idx))
     M_img = _mobius_to_zero_inf_one(*(known[v] for v in idx))
-    A = _mobius_inverse(M_img) @ M_norm
+    A = adjugate(M_img) @ M_norm
     out = [None] * 4
     for v in range(4):
-        out[v] = known[v] if v in known else _apply(A, norm[v])
+        out[v] = known[v] if v in known else mobius_apply(A, norm[v])
     return tuple(out), A
 
 
@@ -412,17 +397,12 @@ def develop(tri: IdealTriangulation, shapes, base_tet: int = 0) -> Developed:
         seen.add((t2, f2))
         _, A = _place_through_face(placements[t], f, perm, z[t2])
         # deck transformation: far copy of t2 = gamma . fundamental copy
-        gamma = A @ _mobius_inverse(maps[t2])
+        gamma = A @ adjugate(maps[t2])
         generators[(t, f)] = _normalize_det(gamma)
     return Developed(tuple(placements[t] for t in range(tri.num_tetrahedra)),
                      tuple(maps[t] for t in range(tri.num_tetrahedra)),
                      generators,
                      tuple(tree))
-
-
-def developed_shape(positions) -> complex:
-    """Cross ratio of a developed vertex quadruple (guards the developing)."""
-    return cross_ratio(*positions)
 
 
 def edge_cycle_word(tri: IdealTriangulation, developed: Developed,
@@ -563,9 +543,9 @@ def _substitute(word, key, replacement):
 
 
 def holonomy_from_shapes(tri: IdealTriangulation, shapes,
-                         base_tet: int = 0,
-                         residual_tol: float = 1e-8) -> Representation:
-    """Holonomy representation developed from an edge-equation solution.
+                         base_tet: int = 0) -> Representation:
+    """Holonomy representation developed from an edge-equation solution
+    (edge residual at most 1e-8).
 
     The deck transformations of the non-tree face pairings generate the
     fundamental group with the edge-cycle words as relators; generators
@@ -574,8 +554,8 @@ def holonomy_from_shapes(tri: IdealTriangulation, shapes,
     """
     z = _shape_array(shapes)
     res = gluing_residual(tri, z)
-    if res.max_edge() > residual_tol:
-        raise ValueError(f"edge residual {res.max_edge():.2e} exceeds {residual_tol}")
+    if res.max_edge() > 1e-8:
+        raise ValueError(f"edge residual {res.max_edge():.2e} exceeds 1e-8")
     dev = develop(tri, z, base_tet)
     relator_words = []
     for cls in tri.edge_classes:
@@ -583,16 +563,13 @@ def holonomy_from_shapes(tri: IdealTriangulation, shapes,
         if w:
             relator_words.append(w)
     keys, rels = _eliminate_generators(sorted(dev.generators.keys()), relator_words)
-    if len(keys) > len(_LETTER_POOL):
+    if len(keys) > len(_LETTERS):
         raise DevelopingFailureError("too many surviving generators")
-    letter_of = {kk: _LETTER_POOL[i] for i, kk in enumerate(keys)}
+    letter_of = {kk: _LETTERS[i] for i, kk in enumerate(keys)}
     gens = tuple(psl2_to_lorentz(dev.generators[kk]) for kk in keys)
     words = tuple("".join(letter_of[kk] if s > 0 else letter_of[kk].upper()
                           for (kk, s) in r) for r in rels)
     return Representation(gens, words, 3)
-
-
-_LETTER_POOL = "abcdefgh"
 
 
 def peripheral_eigenvalue_sq(rep: Representation, word: str) -> complex:
@@ -619,9 +596,9 @@ def _fig8_partner(z: complex, branch: int = 0) -> complex:
     return roots[branch]
 
 
-def solve_edge_equations(tri: IdealTriangulation, start, pinned: int = 0,
-                         tol: float = 1e-12, max_iter: int = 80):
-    """Newton-solve the log edge equations with one shape pinned.
+def solve_edge_equations(tri: IdealTriangulation, start, pinned: int = 0):
+    """Newton-solve the log edge equations with one shape pinned, to a
+    residual below 1e-12 within 80 steps.
 
     The edge rows are redundant (their sum is a multiple of the constant
     rows), so one shape coordinate stays fixed and the remaining ones are
@@ -630,10 +607,10 @@ def solve_edge_equations(tri: IdealTriangulation, start, pinned: int = 0,
     z = np.asarray(start, dtype=complex).copy()
     free = [i for i in range(z.size) if i != pinned]
     expo = tri.edge_exponents()
-    for _ in range(max_iter):
+    for _ in range(80):
         logs = np.array([slot_logs(zi) for zi in z])
         F = np.einsum("etc,tc->e", expo, logs) - TWO_PI_I
-        if np.max(np.abs(F)) < tol:
+        if np.max(np.abs(F)) < 1e-12:
             return z, float(np.max(np.abs(F)))
         # d slot_logs / dz = (1/z, 1/(1-z), 1/(z(z-1)))
         J = np.zeros((expo.shape[0], len(free)), dtype=complex)
@@ -714,15 +691,15 @@ def _path_step(tri: IdealTriangulation, t: float, shapes: np.ndarray) -> PathSte
                     res.max_edge(), res.max_cusp(), float(poles.min()))
 
 
-def sample_gluing_variety(rng: np.random.Generator, n: int,
-                          box: float = 6.0) -> np.ndarray:
+def sample_gluing_variety(rng: np.random.Generator, n: int) -> np.ndarray:
     """(n, 2) random solutions of the figure-eight edge equations.
 
-    The first shape is uniform over a box around the interesting region and
-    the partner solves the rectangular equation (both quadratic branches).
+    The first shape is uniform over the box [-6, 7] x [-6, 6] around the
+    interesting region and the partner solves the rectangular equation
+    (both quadratic branches).
     """
-    zs = (rng.uniform(-box, box + 1.0, size=2 * n)
-          + 1j * rng.uniform(-box, box, size=2 * n))
+    zs = (rng.uniform(-6.0, 7.0, size=2 * n)
+          + 1j * rng.uniform(-6.0, 6.0, size=2 * n))
     out = []
     for i, z in enumerate(zs):
         if min(abs(z), abs(1 - z)) < 1e-3:
@@ -735,27 +712,3 @@ def sample_gluing_variety(rng: np.random.Generator, n: int,
             break
     return np.asarray(out)
 
-
-def solve_complete(tri: IdealTriangulation, guess=None) -> np.ndarray:
-    """Newton solve for the complete structure: edge plus cusp equations."""
-    z = np.asarray(guess if guess is not None else [0.3 + 0.8j, 0.4 + 1.1j],
-                   dtype=complex).copy()
-    expo = np.concatenate([tri.edge_exponents(),
-                           np.asarray(tri.cusp_rows, dtype=float)])
-    target = np.concatenate([np.full(tri.edge_exponents().shape[0], TWO_PI_I),
-                             np.zeros(len(tri.cusp_rows), dtype=complex)])
-    for _ in range(100):
-        logs = np.array([slot_logs(zi) for zi in z])
-        F = np.einsum("etc,tc->e", expo, logs) - target
-        if np.max(np.abs(F)) < 1e-12:
-            return z
-        J = np.zeros((expo.shape[0], z.size), dtype=complex)
-        for t in range(z.size):
-            d = np.array([1.0 / z[t], 1.0 / (1.0 - z[t]),
-                          1.0 / (z[t] * (z[t] - 1.0))])
-            J[:, t] = expo[:, t, :] @ d
-        step, *_ = np.linalg.lstsq(J, -F, rcond=None)
-        if np.max(np.abs(step)) > 0.5:
-            step = step * (0.5 / np.max(np.abs(step)))
-        z = z + step
-    raise ContinuationStallError("complete-structure Newton did not converge")

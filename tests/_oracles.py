@@ -68,6 +68,16 @@ def collar_supremum_golden(margin: float, iterations: int = 100) -> float:
     return float(max(f1, f2))
 
 
+def bloch_wigner_mpmath(z: complex, digits: int = 30) -> float:
+    """D(z) = Im Li2(z) + arg(1 - z) log|z| from mpmath's polylogarithm at
+    ``digits`` significant digits."""
+    import mpmath
+    with mpmath.workdps(digits):
+        w = mpmath.mpc(z.real, z.imag)
+        return float(mpmath.im(mpmath.polylog(2, w))
+                     + mpmath.arg(1 - w) * mpmath.log(abs(w)))
+
+
 def radial_length_numeric(r: float, n: int = 4000) -> float:
     """Ball-metric length of the straight segment from the origin to radius r."""
     # Gauss-Legendre on [0, r] of the conformal factor 2/(1-t^2)

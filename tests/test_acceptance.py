@@ -15,10 +15,9 @@ import time
 import numpy as np
 import pytest
 
-from natmap import barycenter as bc
+from natmap import criteria
 from natmap import geometry as geo
 from natmap import measures as ms
-from natmap import natural_map as nm
 from natmap import spd
 from natmap import triangulation as tr
 from conftest import random_ball_point
@@ -45,30 +44,10 @@ def fig8_full_path(fig8_tri):
 
 @pytest.fixture(scope="module")
 def path_diagnostics(fig8_full_path):
-    """Per-step medians of the natural-map diagnostics with orbit maps."""
-    fam = ms.VisualFamily(3, 2000)
-    complete = fig8_full_path[0].representation
+    """Natural-map diagnostics with orbit maps along the 50-step path."""
     rng = np.random.default_rng(42)
     probes = [random_ball_point(rng, max_radius=0.5) for _ in range(4)]
-    entries = []
-    for st in fig8_full_path[1:]:
-        D = nm.OrbitBoundaryMap.build(complete, st.representation,
-                                      max_word_length=8, min_table=5000)
-        entries.append((st.t, st.representation, D, st.volume.value))
-    rows = nm.convergence_diagnostics(entries, fam, probes, tr.FIG8_VOLUME)
-    per_step = []
-    for i in range(0, len(rows), len(probes)):
-        chunk = rows[i:i + len(probes)]
-        per_step.append({
-            "t": chunk[0].parameter,
-            "h_dev": float(np.median([r.h_deviation for r in chunk])),
-            "jac_dev": float(np.median([abs(1 - r.jac) for r in chunk])),
-            "df_norm": max(r.df_norm for r in chunk),
-            "lambda_max": max(r.h_lambda_max for r in chunk),
-            "eigen_dev": max(r.h_eigen_dev for r in chunk),
-            "deficit": chunk[0].volume_deficit,
-        })
-    return per_step
+    return criteria.path_diagnostics(fig8_full_path, ms.VisualFamily(3, 2000), probes)
 
 
 def test_criterion_01_psi_maximum():
@@ -134,7 +113,6 @@ def test_criterion_03_quantitative_converse():
 def test_criterion_04_barycenter():
     t0 = time.time()
     rng = np.random.default_rng(3)
-    tight = bc.SolverConfig(gradient_tol=1e-12)
 
     def spread_measure(n_atoms=None):
         while True:
@@ -145,166 +123,95 @@ def test_criterion_04_barycenter():
             if w.max() < 0.5 - 1e-9:
                 return ms.atomic_measure(w, pts)
 
-    worst_grad = max(bc.barycenter(spread_measure()).gradient_norm
-                     for _ in range(50))
-    ok = worst_grad <= 1e-10
-
-    worst_eq = 0.0
-    for _ in range(100):
-        m = spread_measure()
-        g = geo.random_isometry(rng, 3, 0.7, 0.7)
-        lhs = bc.barycenter(ms.pushforward(m, g), tight).location
-        rhs = g.apply(bc.barycenter(m, tight).location)
-        worst_eq = max(worst_eq, geo.distance(lhs, rhs))
-    ok = ok and worst_eq <= 1e-8
-
-    worst_or = max(geo.distance(bc.barycenter(m).location, bc.grid_minimize_phi(m))
-                   for m in (spread_measure(4) for _ in range(20)))
-    ok = ok and worst_or <= 2e-3
-
-    try:
-        bc.barycenter(ms.atomic_measure([0.5, 0.5], [[1, 0, 0], [-1, 0, 0]]))
-        raised = False
-    except bc.TwoEqualAtomsError:
-        raised = True
+    stationarity = [(i, spread_measure()) for i in range(50)]
+    equivariance = [(spread_measure(), geo.random_isometry(rng, 3, 0.7, 0.7))
+                    for _ in range(100)]
+    oracle = [spread_measure(4) for _ in range(20)]
+    res = criteria.barycenter_checks(stationarity, equivariance, oracle)
     elapsed = time.time() - t0
-    ok = ok and raised and elapsed <= 120.0
-    assert report(4, ok, f"grad {worst_grad:.1e}, equiv {worst_eq:.1e}, "
-                         f"oracle {worst_or:.1e}, raised={raised}, {elapsed:.0f}s")
+    ok = (res.gradient <= 1e-10 and res.equivariance <= 1e-8 and res.oracle <= 2e-3
+          and res.two_equal_atoms_raise and elapsed <= 120.0)
+    assert report(4, ok, f"grad {res.gradient:.1e}, equiv {res.equivariance:.1e}, "
+                         f"oracle {res.oracle:.1e}, raised={res.two_equal_atoms_raise}, "
+                         f"{elapsed:.0f}s")
 
 
 def test_criterion_05_natural_map_identity():
     t0 = time.time()
     rng = np.random.default_rng(5)
     probes = [random_ball_point(rng, max_radius=1.0) for _ in range(50)]
-    fam = ms.VisualFamily(3, 2000)
-    fam4 = ms.VisualFamily(3, 8000)
-    pushed = nm.PushedFamily(nm.identity_boundary_map(3), fam)
-    pushed4 = nm.PushedFamily(nm.identity_boundary_map(3), fam4)
-    disp, disp4, hdev, jdev, bdev = 0.0, 0.0, 0.0, 0.0, 0.0
-    for p in probes:
-        F = nm.natural_map(None, pushed, fam, p)
-        disp = max(disp, geo.distance(F, p))
-        disp4 = max(disp4, geo.distance(nm.natural_map(None, pushed4, fam4, p), p))
-        pair = nm.operators_at(None, pushed, fam, p, image=F)
-        j = nm.jacobian(None, pushed, fam, p, "implicit", pair=pair)
-        br = nm.jacobian_bound_check(pair, j, 3, 3)
-        hdev = max(hdev, float(np.linalg.norm(pair.H - np.eye(3) / 3)))
-        jdev = max(jdev, abs(j.jac_k - 1.0))
-        bdev = max(bdev, abs(br.bound - 1.0))
+    res = criteria.identity_checks(probes, ms.VisualFamily(3, 2000))
     elapsed = time.time() - t0
-    ok = (disp <= 5e-4 and disp4 <= 2.5e-4 and hdev <= 1e-3
-          and jdev <= 1e-3 and bdev <= 1e-3 and elapsed <= 600.0)
-    assert report(5, ok, f"disp {disp:.1e} / {disp4:.1e} at 4N, "
-                         f"H dev {hdev:.1e}, jac dev {jdev:.1e}, "
-                         f"bound dev {bdev:.1e}, {elapsed:.0f}s")
+    ok = (res.displacement <= 5e-4 and res.displacement_fine <= 2.5e-4
+          and res.h_deviation <= 1e-3 and res.jac_deviation <= 1e-3
+          and res.bound_deviation <= 1e-3 and elapsed <= 600.0)
+    assert report(5, ok, f"disp {res.displacement:.1e} / {res.displacement_fine:.1e} at 4N, "
+                         f"H dev {res.h_deviation:.1e}, jac dev {res.jac_deviation:.1e}, "
+                         f"bound dev {res.bound_deviation:.1e}, {elapsed:.0f}s")
 
 
 def test_criterion_06_jacobian_bound(fig8_tri):
     rng = np.random.default_rng(6)
-    fam = ms.VisualFamily(3, 2000)
     path = tr.deformation_path(fig8_tri, steps=20, t_end=0.6)
-    complete = path[0].representation
-    worst_jac, worst_margin, worst_x = 0.0, float("inf"), 0.0
-    for st in path[1:]:
-        D = nm.OrbitBoundaryMap.build(complete, st.representation,
-                                      max_word_length=8, min_table=5000)
-        pushed = nm.PushedFamily(D, fam)
-        p = random_ball_point(rng, max_radius=0.5)
-        pair = nm.operators_at(st.representation, pushed, fam, p)
-        ji = nm.jacobian(st.representation, pushed, fam, p, "implicit", pair=pair)
-        jf = nm.jacobian(st.representation, pushed, fam, p,
-                         "finite-difference", pair=pair)
-        br = nm.jacobian_bound_check(pair, ji, 3, 3)
-        worst_jac = max(worst_jac, ji.jac_k)
-        worst_margin = min(worst_margin, br.bound - ji.jac_k)
-        worst_x = max(worst_x, float(np.max(np.abs(ji.DF - jf.DF))))
-    ok = (worst_jac <= 1 + 5e-3 and worst_margin >= -1e-3 and worst_x <= 1e-3)
-    assert report(6, ok, f"20 approximate-D configs: max jac {worst_jac:.6f}, "
-                         f"min bound margin {worst_margin:.2e}, "
-                         f"fd-vs-implicit {worst_x:.1e}")
+    probes = [random_ball_point(rng, max_radius=0.5) for _ in path[1:]]
+    res = criteria.deformed_jacobian_checks(path, probes, ms.VisualFamily(3, 2000))
+    ok = res.jac <= 1 + 5e-3 and res.bound_margin >= -1e-3 and res.fd_gap <= 1e-3
+    assert report(6, ok, f"20 approximate-D configs: max jac {res.jac:.6f}, "
+                         f"min bound margin {res.bound_margin:.2e}, "
+                         f"fd-vs-implicit {res.fd_gap:.1e}")
 
 
-def test_criterion_07_figure_eight_volume(fig8_tri):
+def _volume_checks(path):
+    samples = tr.sample_gluing_variety(np.random.default_rng(8), 10_000)
+    return criteria.volume_checks(path, samples)
+
+
+def test_criterion_07_figure_eight_volume(fig8_full_path):
     t0 = time.time()
-    z0 = tr.FIG8_COMPLETE_SHAPE
-    res = tr.gluing_residual(fig8_tri, [z0, z0])
-    ok = res.max_edge() <= 1e-12 and res.max_cusp() <= 1e-12
-    vol = tr.volume_of_shapes(fig8_tri, [z0, z0]).value
+    res = _volume_checks(fig8_full_path)
+    ok = res.edge_residual <= 1e-12 and res.cusp_residual <= 1e-12
+    vol = res.volume.value
     oracle = 2.0 * 3.0 * oracles.lobachevsky(np.pi / 3.0)
     ok = ok and abs(vol - oracle) <= 1e-9 and abs(vol - 2.029883212819) <= 1e-9
-    hol = tr.holonomy_from_shapes(fig8_tri, [z0, z0])
-    rel = max(hol.relator_residual(r) for r in hol.relators)
-    lengths = max(geo.translation_length(g) for g in hol.generators)
     elapsed = time.time() - t0
-    ok = ok and rel <= 1e-8 and lengths <= 1e-6 and elapsed <= 60.0
-    assert report(7, ok, f"residual {res.max_edge():.1e}, "
-                         f"vol err {abs(vol - oracle):.1e}, relator {rel:.1e}, "
-                         f"lengths {lengths:.1e}, {elapsed:.0f}s")
+    ok = (ok and res.relator_residual <= 1e-8 and res.generator_translation <= 1e-6
+          and elapsed <= 60.0)
+    assert report(7, ok, f"residual {res.edge_residual:.1e}, "
+                         f"vol err {abs(vol - oracle):.1e}, relator {res.relator_residual:.1e}, "
+                         f"lengths {res.generator_translation:.1e}, {elapsed:.0f}s")
 
 
-def test_criterion_08_rigidity_at_desk_scale(fig8_tri, fig8_full_path):
+def test_criterion_08_rigidity_at_desk_scale(fig8_full_path):
     t0 = time.time()
-    path = fig8_full_path
-    deficits = [tr.FIG8_VOLUME - st.volume.value for st in path if st.t >= 1e-2]
-    ok = min(deficits) > 1e-6
-    tail = [tr.FIG8_VOLUME - st.volume.value for st in path
-            if st.min_pole_distance < 1e-2]
-    ok = ok and bool(tail) and min(tail) > 0
-    rng = np.random.default_rng(8)
-    samples = tr.sample_gluing_variety(rng, 10_000)
-    vols = tr.bloch_wigner(samples[:, 0]) + tr.bloch_wigner(samples[:, 1])
-    ok = ok and vols.max() <= tr.FIG8_VOLUME + 1e-9
-    z0 = tr.FIG8_COMPLETE_SHAPE
-    dist = np.maximum(np.abs(samples[:, 0] - z0), np.abs(samples[:, 1] - z0))
-    strict = bool(np.all(vols[dist > 1e-6] < tr.FIG8_VOLUME))
+    res = _volume_checks(fig8_full_path)
+    ok = res.path_deficit > 1e-6
+    ok = ok and res.tail_deficit is not None and res.tail_deficit > 0
+    ok = ok and res.sample_volume <= tr.FIG8_VOLUME + 1e-9
     elapsed = time.time() - t0
-    ok = ok and strict and elapsed <= 600.0
-    assert report(8, ok, f"min path deficit {min(deficits):.1e}, "
-                         f"tail eps {min(tail):.3f}, "
-                         f"scan max {vols.max():.9f}, strict={strict}, "
+    ok = ok and res.strict_deficit and elapsed <= 600.0
+    assert report(8, ok, f"min path deficit {res.path_deficit:.1e}, "
+                         f"tail eps {res.tail_deficit:.3f}, "
+                         f"scan max {res.sample_volume:.9f}, strict={res.strict_deficit}, "
                          f"{elapsed:.0f}s")
 
 
 def test_criterion_09_diagnostics_correlation(path_diagnostics):
-    rows = path_diagnostics
-    hs = [r["h_dev"] for r in rows]
-    js = [r["jac_dev"] for r in rows]
-    ds = [r["deficit"] for r in rows]
-    mono = lambda a: all(a[i] < a[i + 1] for i in range(len(a) - 1))
-    ok = mono(hs) and mono(js) and mono(ds)
+    res = path_diagnostics
+    mono = res.monotone
     # spearman rank correlation is exactly 1 for jointly monotone series
-    regime = [r for r in rows if r["lambda_max"] <= 2.0 / 3.0]
-    eps = max(r["eigen_dev"] for r in regime)
-    df_ok = max(r["df_norm"] for r in regime) <= np.sqrt(3.0) + 4.5 * eps
-    ok = ok and df_ok
-    assert report(9, ok, f"monotone over {len(rows)} steps: "
-                         f"H {mono(hs)}, jac {mono(js)}, deficit {mono(ds)}; "
-                         f"DF bound on {len(regime)} in-regime steps "
-                         f"(eps {eps:.3f}): {df_ok}")
+    df_ok = res.df_norm <= np.sqrt(3.0) + 4.5 * res.eigen_dev
+    ok = all(mono) and df_ok
+    assert report(9, ok, f"monotone over {len(res.deficit)} steps: "
+                         f"H {mono[0]}, jac {mono[1]}, deficit {mono[2]}; "
+                         f"DF bound on {res.regime_steps} in-regime steps "
+                         f"(eps {res.eigen_dev:.3f}): {df_ok}")
 
 
-def test_criterion_10_totally_geodesic(fig8_full_path):
+def test_criterion_10_totally_geodesic():
     rng = np.random.default_rng(10)
-    fam = ms.VisualFamily(3, 2000)
-    D5 = nm.TotallyGeodesicBoundaryMap(3, 5)
-    pushed5 = nm.PushedFamily(D5, fam)
-    pushed3 = nm.PushedFamily(nm.identity_boundary_map(3), fam)
-    off, agree, hv, jdev, bmargin = 0.0, 0.0, 0.0, 0.0, float("inf")
-    for _ in range(20):
-        p = random_ball_point(rng, max_radius=1.0)
-        F5 = nm.natural_map(None, pushed5, fam, p)
-        off = max(off, float(np.linalg.norm(F5.coords[3:])))
-        agree = max(agree, geo.distance(p, geo.HPoint(np.concatenate(
-            [nm.natural_map(None, pushed3, fam, p).coords, np.zeros(2)])[:3].copy())))
-        pair = nm.operators_at(None, pushed5, fam, p, image=F5)
-        j = nm.jacobian(None, pushed5, fam, p, "implicit", pair=pair)
-        br = nm.jacobian_bound_check(pair, j, 3, 5)
-        Q, _ = np.linalg.qr(j.DF)
-        hv = max(hv, float(np.linalg.norm(Q.T @ pair.H @ Q - np.eye(3) / 3)))
-        jdev = max(jdev, abs(j.jac_k - 1.0))
-        bmargin = min(bmargin, br.bound + 1e-3 - j.jac_k)
-    ok = (off <= 5e-4 and agree <= 5e-4 and hv <= 1e-3 and jdev <= 1e-3
-          and bmargin >= 0.0)
-    assert report(10, ok, f"off-copy {off:.1e}, vs k=3 {agree:.1e}, "
-                          f"H^V dev {hv:.1e}, jac dev {jdev:.1e}")
+    probes = [random_ball_point(rng, max_radius=1.0) for _ in range(20)]
+    res = criteria.geodesic_copy_checks(probes, ms.VisualFamily(3, 2000), 5)
+    ok = (res.confinement <= 5e-4 and res.agreement <= 5e-4 and res.h_deviation <= 1e-3
+          and res.jac_deviation <= 1e-3 and res.bound_margin + 1e-3 >= 0.0)
+    assert report(10, ok, f"off-copy {res.confinement:.1e}, vs k=3 {res.agreement:.1e}, "
+                          f"H^V dev {res.h_deviation:.1e}, jac dev {res.jac_deviation:.1e}")

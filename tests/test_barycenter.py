@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from natmap import barycenter as bc
 from natmap import geometry as geo
@@ -101,8 +102,28 @@ class TestBarycenter:
         assert res.kind == "boundary-atom"
 
     def test_two_equal_atoms_raises(self):
+        # draws 11, 15, ..., 85 of default_rng(0) once came back as
+        # 'boundary-atom': the top atom survived its own removal by an
+        # angular filter at cos(1e-9) == 1.0
+        draws = np.random.default_rng(0).standard_normal((100, 2, 3))
+        pairs = [draws[i] for i in (11, 15, 23, 28, 38, 68, 82, 85)]
+        for pts in [[[1, 0, 0], [-1, 0, 0]]] + pairs:
+            with pytest.raises(bc.TwoEqualAtomsError):
+                bc.barycenter(ms.atomic_measure([0.5, 0.5], pts))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(1e-12, 5e-10))
+    def test_two_equal_clusters_raise(self, seed, gap):
+        # two quarter atoms closer than the clustering tolerance form one
+        # half-mass cluster opposite a half-mass atom
+        r = np.random.default_rng(seed)
+        u, v, heavy = r.standard_normal((3, 3))
+        u /= np.linalg.norm(u)
+        v -= (v @ u) * u
+        v /= np.linalg.norm(v)
+        near = np.cos(gap) * u + np.sin(gap) * v
         with pytest.raises(bc.TwoEqualAtomsError):
-            bc.barycenter(ms.atomic_measure([0.5, 0.5], [[1, 0, 0], [-1, 0, 0]]))
+            bc.barycenter(ms.atomic_measure([0.25, 0.25, 0.5], [u, near, heavy]))
 
     def test_no_convergence_carries_best(self, rng):
         m = random_spread_measure(rng)

@@ -1,5 +1,4 @@
 import json
-from pathlib import Path
 
 import pytest
 
@@ -37,6 +36,13 @@ class TestSubcommands:
         assert run(["barycenter-suite", "--seed", "7",
                     "--out", str(tmp_path)]) == 0
         assert (tmp_path / "barycenter-stationarity.csv").exists()
+
+    def test_natural_map_suite_node_cap_exit_2(self, tmp_path):
+        # the four-fold refinement of 5000 nodes exceeds the 13122-node
+        # product rule; the command refuses before any work
+        assert run(["natural-map-suite", "--nodes", "5000",
+                    "--out", str(tmp_path)]) == 2
+        assert not any(tmp_path.iterdir())
 
     def test_volume_path(self, tmp_path):
         assert run(["volume-path", "--steps", "12", "--out", str(tmp_path)]) == 0

@@ -37,6 +37,12 @@ class TestSphereQuadrature:
             assert val == pytest.approx(
                 oracles.sphere_monomial_expectation(4, expo), abs=1e-10)
 
+    def test_product_rule_cap_raises(self):
+        # order 81 is the last product rule: 81 x 162 = 13122 nodes on S^2
+        assert ms.sphere_quadrature(3, 13122)[0].shape == (13122, 3)
+        with pytest.raises(ValueError, match="at most 13122 nodes"):
+            ms.sphere_quadrature(3, 20000)
+
     def test_fibonacci_rules_available(self):
         pts, w = ms.sphere_quadrature(3, 500, rule="fibonacci")
         assert len(w) == 500 and w.sum() == pytest.approx(1.0, abs=1e-14)
@@ -120,9 +126,9 @@ class TestPushforward:
     def test_constant_map_gives_dirac(self, fam2000):
         m = ms.visual_measure(fam2000, geo.HPoint.origin(3))
         out = ms.pushforward(m, lambda p: np.tile([0.0, 0.0, 1.0], (p.shape[0], 1)))
-        mass, loc = ms.max_atom_mass(out)
-        assert mass == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(loc.direction, [0, 0, 1])
+        top = ms.max_atom_mass(out)
+        assert top.mass == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(top.location.direction, [0, 0, 1])
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**9))
@@ -139,27 +145,29 @@ class TestPushforward:
 class TestMaxAtomMass:
     def test_single_dirac(self):
         m = ms.dirac([0.0, 0.0, 1.0])
-        mass, loc = ms.max_atom_mass(m)
-        assert mass == 1.0 and np.allclose(loc.direction, [0, 0, 1])
+        top = ms.max_atom_mass(m)
+        assert top.mass == 1.0 and np.allclose(top.location.direction, [0, 0, 1])
 
     def test_uniform_quadrature_no_clustering(self, fam2000):
         m = ms.visual_measure(fam2000, geo.HPoint.origin(3))
-        mass, _ = ms.max_atom_mass(m)
-        assert mass <= 2.0 / 2000
+        assert ms.max_atom_mass(m).mass <= 2.0 / 2000
 
     def test_two_atoms(self):
         m = ms.atomic_measure([0.6, 0.4], [[1, 0, 0], [0, 1, 0]])
-        mass, loc = ms.max_atom_mass(m)
-        assert mass == pytest.approx(0.6, abs=1e-15)
-        assert np.allclose(loc.direction, [1, 0, 0])
+        top = ms.max_atom_mass(m)
+        assert top.mass == pytest.approx(0.6, abs=1e-15)
+        assert np.allclose(top.location.direction, [1, 0, 0])
 
     def test_near_duplicates_cluster(self):
         eps = 1e-10
         p = np.array([[1.0, 0.0, 0.0], [np.cos(eps), np.sin(eps), 0.0],
                       [0.0, 1.0, 0.0]])
         m = ms.atomic_measure([0.3, 0.3, 0.4], p)
-        mass, _ = ms.max_atom_mass(m)
-        assert mass == pytest.approx(0.6, abs=1e-12)
+        clusters = ms.max_atom_mass(m)
+        assert clusters.mass == pytest.approx(0.6, abs=1e-12)
+        # the same pass labels every point with its cluster
+        assert np.allclose(clusters.masses, [0.6, 0.4], atol=1e-12)
+        assert list(clusters.labels) == [0, 0, 1]
 
 
 class TestSerialization:

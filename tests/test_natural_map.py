@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from natmap import geometry as geo
-from natmap import measures as ms
 from natmap import natural_map as nm
 from natmap import triangulation as tr
 from conftest import random_ball_point
@@ -261,12 +260,6 @@ class TestEquivarianceAndDiagnostics:
                 holonomy, nm.identity_boundary_map(3), fam2000, x, letter,
                 holonomy.evaluate(letter))
             assert dev <= budget
-
-    def test_discretization_error_estimate(self, fam2000):
-        est = nm.discretization_error_estimate(
-            nm.identity_boundary_map(3), fam2000,
-            geo.HPoint(np.array([0.3, 0.0, 0.1])))
-        assert est <= 5e-4
 
     def test_constant_sequence_diagnostics(self, fam2000, holonomy):
         D = nm.identity_boundary_map(3)

@@ -1,5 +1,4 @@
 import cmath
-import json
 
 import numpy as np
 import pytest
@@ -27,6 +26,22 @@ class TestBlochWigner:
         val = tr.bloch_wigner(Z0)
         assert val == pytest.approx(oracle, abs=1e-12)
         assert val == pytest.approx(1.0149416064096535, abs=1e-13)
+
+    def test_against_mpmath(self):
+        # 100 seeded points each: on the unit circle, 1e-8 to 1e-2 from 0
+        # and from 1, beyond modulus 1e2, and a Gaussian cloud of scale 3
+        r = np.random.default_rng(2024)
+        n = 100
+
+        def turn():
+            return np.exp(1j * r.uniform(-np.pi, np.pi, n))
+
+        small = 10.0 ** r.uniform(-8, -2, n)
+        z = np.concatenate([turn(), small * turn(), 1.0 + small * turn(),
+                            turn() / small, 3.0 * (r.standard_normal(n)
+                                                   + 1j * r.standard_normal(n))])
+        ref = np.array([oracles.bloch_wigner_mpmath(zi) for zi in z])
+        assert np.max(np.abs(tr.bloch_wigner(z) - ref)) <= 1e-13
 
     def test_symmetry_relations(self, rng):
         for _ in range(10):
@@ -98,13 +113,6 @@ class TestGluingResidual:
         eps = 1e-5
         rep = tr.gluing_residual(tri, [Z0 + eps, Z0])
         assert 0 < rep.max_edge() < 1e-3
-
-    def test_newton_recovers_complete(self, tri, rng):
-        for _ in range(5):
-            guess = [complex(rng.uniform(0.2, 0.8), rng.uniform(0.5, 1.4))
-                     for _ in range(2)]
-            z = tr.solve_complete(tri, guess)
-            assert np.max(np.abs(z - Z0)) <= 1e-10
 
     def test_branch_flags(self, tri):
         rep = tr.gluing_residual(tri, [complex(-2.0, 1e-8), Z0])
@@ -188,7 +196,7 @@ class TestHolonomy:
         if abs(w - Z0) > 1.0:
             w = tr._fig8_partner(z, 1)
         dev = tr.develop(tri, [z, w])
-        redone = [tr.developed_shape(pos) for pos in dev.placements]
+        redone = [tr.cross_ratio(*pos) for pos in dev.placements]
         direct = tr.volume_of_shapes(tri, [z, w]).value
         from_dev = float(np.sum(tr.bloch_wigner(np.asarray(redone))))
         assert from_dev == pytest.approx(direct, abs=1e-9)
