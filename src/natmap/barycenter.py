@@ -116,14 +116,17 @@ def barycenter(beta: BoundaryMeasure,
 
     Raises TwoEqualAtomsError for the excluded two-equal-Diracs case and
     NoConvergenceError if the iteration cap is reached.  A dominant atom
-    (mass >= 1/2 after clustering) short-circuits to a boundary result.
+    (at least half the total mass after clustering) short-circuits to a
+    boundary result.
     """
     cfg = cfg or SolverConfig()
     clusters = max_atom_mass(beta)
-    if clusters.mass >= 0.5 - HALF_ATOM_TOL:
-        # two clusters of mass 1/2 that together hold all the mass
+    # half the total, not 1/2: a BoundaryMeasure's total is 1 only to MASS_TOL
+    half = clusters.masses.sum() / 2.0
+    if clusters.mass >= half - HALF_ATOM_TOL:
+        # two clusters of half the mass that together hold all of it
         masses = np.sort(clusters.masses)[::-1]
-        if (masses.size >= 2 and np.all(np.abs(masses[:2] - 0.5) <= HALF_ATOM_TOL)
+        if (masses.size >= 2 and np.all(np.abs(masses[:2] - half) <= HALF_ATOM_TOL)
                 and masses[2:].sum() <= HALF_ATOM_TOL):
             raise TwoEqualAtomsError(
                 "measure is two Dirac masses of equal weight 1/2")

@@ -25,11 +25,11 @@ from .geometry import (
     Isometry,
     _exp_chart,
     _log_chart,
+    adjugate,
     busemann_gradients_frame,
     busemann_many,
     conformal_factor,
     distance,
-    loxodromic_fixed_points,
     translation_length,
 )
 from .measures import BoundaryMeasure, VisualFamily
@@ -170,6 +170,64 @@ def enumerate_reduced_words(n_generators: int, max_length: int):
         frontier = new
 
 
+def _reduced_word_tree(n_generators: int, max_length: int):
+    """The words of ``enumerate_reduced_words``, level by level, as pairs
+    (index of the prefix in the previous level, index of the last letter
+    in 'aAbB...'); the first level has no prefixes."""
+    n_letters = 2 * n_generators
+    last = np.arange(n_letters)
+    levels = [(None, last)] if max_length >= 1 else []
+    for _ in range(1, max_length):
+        parent = np.repeat(np.arange(last.size), n_letters)
+        letter = np.tile(np.arange(n_letters), last.size)
+        # letter 2i + 1 is the inverse of letter 2i
+        reduced = letter != (last[parent] ^ 1)
+        parent, last = parent[reduced], letter[reduced]
+        levels.append((parent, last))
+    return levels
+
+
+def _word_spins(rep: Representation, levels) -> np.ndarray:
+    """(n, 2, 2) spin matrices of the words of ``_reduced_word_tree``,
+    each the product of its prefix's matrix with its last letter's, as
+    ``Representation.evaluate`` composes them."""
+    letters = np.stack([s for g in rep.generators for s in (g.spin, adjugate(g.spin))])
+    mats, out = None, [np.empty((0, 2, 2), dtype=complex)]
+    for parent, letter in levels:
+        mats = letters[letter] if parent is None else mats[parent] @ letters[letter]
+        out.append(mats)
+    return np.concatenate(out)
+
+
+def _spin_translation_lengths(mats: np.ndarray) -> np.ndarray:
+    """``translation_length`` of each spin matrix of an (n, 2, 2) stack."""
+    tr = np.trace(mats, axis1=1, axis2=2) / np.sqrt(np.linalg.det(mats))
+    ell = 2.0 * np.abs(np.arccosh(tr / 2.0).real)
+    return np.where(ell > 1e-12, ell, 0.0)
+
+
+def _attracting_fixed_points(mats: np.ndarray) -> np.ndarray:
+    """(n, 3) attracting fixed points of an (n, 2, 2) stack of loxodromic
+    spin matrices, as ``loxodromic_fixed_points`` finds them one at a time.
+
+    Rounding in ill-conditioned words reaches the points, so this keeps
+    the LAPACK eigenvectors of the determinant-normalised matrices rather
+    than the closed-form roots of the fixed-point quadratic.
+    """
+    A = mats / np.sqrt(np.linalg.det(mats))[:, None, None]
+    vals, vecs = np.linalg.eig(A)
+    v = vecs[np.arange(len(A)), :, np.argmax(np.abs(vals), axis=1)]
+    finite = np.abs(v[:, 1]) > 1e-14 * np.abs(v[:, 0])
+    z = v[:, 0] / np.where(finite, v[:, 1], 1.0)
+    # sphere_from_complex, with z = inf at the north pole
+    x, y = z.real, z.imag
+    r2 = x * x + y * y
+    pts = np.column_stack([2.0 * x / (r2 + 1.0), -2.0 * y / (r2 + 1.0),
+                           (r2 - 1.0) / (r2 + 1.0)])
+    pts[~finite] = (0.0, 0.0, 1.0)
+    return pts
+
+
 # ---------------------------------------------------------------------------
 # boundary maps
 # ---------------------------------------------------------------------------
@@ -244,34 +302,29 @@ class OrbitBoundaryMap:
     def build(cls, source: Representation, target: Representation,
               max_word_length: int = 8, min_table: int = 5000,
               length_tol: float = 1e-6) -> "OrbitBoundaryMap":
+        """Table over the reduced words up to ``max_word_length`` that are
+        loxodromic (translation length above ``length_tol``) on both sides.
+
+        Works on all words at once from the k = 3 spin matrices; the table
+        is bitwise the one of evaluating each word, filtering it with
+        ``translation_length`` and taking ``loxodromic_fixed_points``.
+        """
         if len(source.generators) != len(target.generators):
             raise ValueError("representations must share a generating set")
-        src_pts, tgt_pts = [], []
-        cache_s: dict[str, Isometry] = {}
-        cache_t: dict[str, Isometry] = {}
-
-        def ev(rep, cache, w):
-            if w not in cache:
-                if len(w) == 1:
-                    cache[w] = rep.generator(w)
-                else:
-                    cache[w] = ev(rep, cache, w[:-1]) @ rep.generator(w[-1])
-            return cache[w]
-
-        for w in enumerate_reduced_words(len(source.generators), max_word_length):
-            gs = ev(source, cache_s, w)
-            if translation_length(gs) <= length_tol:
-                continue
-            gt = ev(target, cache_t, w)
-            if translation_length(gt) <= length_tol:
-                continue
-            src_pts.append(loxodromic_fixed_points(gs)[0].direction)
-            tgt_pts.append(loxodromic_fixed_points(gt)[0].direction)
-        if len(src_pts) < min_table:
+        if any(g.spin is None for g in source.generators + target.generators):
+            raise ValueError("orbit tables need the spin matrices of k = 3 generators")
+        words = _reduced_word_tree(len(source.generators), max_word_length)
+        src = _word_spins(source, words)
+        tgt = _word_spins(target, words)
+        keep = ((_spin_translation_lengths(src) > length_tol)
+                & (_spin_translation_lengths(tgt) > length_tol))
+        n = int(keep.sum())
+        if n < min_table:
             raise ValueError(
-                f"orbit table too small ({len(src_pts)} < {min_table}); "
+                f"orbit table too small ({n} < {min_table}); "
                 "increase max_word_length")
-        return cls(np.asarray(src_pts), np.asarray(tgt_pts))
+        return cls(_attracting_fixed_points(src[keep]),
+                   _attracting_fixed_points(tgt[keep]))
 
     def map_points(self, points: np.ndarray) -> np.ndarray:
         _, idx = self._tree.query(points)

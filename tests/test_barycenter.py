@@ -100,6 +100,13 @@ class TestBarycenter:
         res = bc.barycenter(ms.atomic_measure(
             [0.5, 0.3, 0.2], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
         assert res.kind == "boundary-atom"
+        # half of a total that is 1 only to MASS_TOL; compared with 1/2
+        # this atom once sent the solver to NoConvergenceError
+        res = bc.barycenter(ms.BoundaryMeasure(
+            np.array([0.5 - 3e-11, 0.3, 0.2 - 3e-11]), np.eye(3),
+            np.empty(0), np.empty((0, 3))))
+        assert res.kind == "boundary-atom"
+        assert np.allclose(res.location.direction, [1, 0, 0])
 
     def test_two_equal_atoms_raises(self):
         # draws 11, 15, ..., 85 of default_rng(0) once came back as
@@ -110,6 +117,13 @@ class TestBarycenter:
         for pts in [[[1, 0, 0], [-1, 0, 0]]] + pairs:
             with pytest.raises(bc.TwoEqualAtomsError):
                 bc.barycenter(ms.atomic_measure([0.5, 0.5], pts))
+        # BoundaryMeasure accepts totals of 1 +- MASS_TOL: equal atoms of
+        # 0.5 + 2e-11 once gave 'boundary-atom', of 0.5 - 2e-11 'interior'
+        for w in (0.5 + 2e-11, 0.5 - 2e-11, 0.5 + 4.9e-11, 0.5 - 4.9e-11):
+            with pytest.raises(bc.TwoEqualAtomsError):
+                bc.barycenter(ms.BoundaryMeasure(
+                    np.full(2, w), np.array([[1.0, 0, 0], [-1.0, 0, 0]]),
+                    np.empty(0), np.empty((0, 3))))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(1e-12, 5e-10))

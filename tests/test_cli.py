@@ -92,3 +92,11 @@ class TestDeterminism:
                         "--out", str(out)]) == 0
         for name in ("barycenter-suite.json", "barycenter-stationarity.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_rigidity_report_byte_identical(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert run(["rigidity-report", "--steps", "4", "--nodes", "600",
+                        "--out", str(out)]) == 0
+        for name in ("rigidity-report.json", "rigidity-report.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()

@@ -15,6 +15,11 @@ def fig8_path():
 
 
 @pytest.fixture(scope="module")
+def fig8_path50():
+    return tr.deformation_path(tr.figure_eight(), steps=50)
+
+
+@pytest.fixture(scope="module")
 def holonomy(fig8_path):
     return fig8_path[0].representation
 
@@ -85,6 +90,58 @@ class TestBoundaryMaps:
             [holonomy.evaluate(c) for c in "ab"],
             [target.evaluate(c) for c in "ab"], rng)
         assert np.isfinite(dev)      # reported, not asserted small
+
+
+def _orbit_table_per_word(source, target, max_word_length, length_tol=1e-6):
+    """The orbit table one reduced word at a time, from the scalar
+    translation length and fixed points of each evaluated word."""
+    src, tgt = [], []
+    for w in nm.enumerate_reduced_words(len(source.generators), max_word_length):
+        gs, gt = source.evaluate(w), target.evaluate(w)
+        if (geo.translation_length(gs) > length_tol
+                and geo.translation_length(gt) > length_tol):
+            src.append(geo.loxodromic_fixed_points(gs)[0].direction)
+            tgt.append(geo.loxodromic_fixed_points(gt)[0].direction)
+    return np.asarray(src), np.asarray(tgt)
+
+
+class TestOrbitTable:
+    def test_word_order_matches_enumeration(self):
+        words, level = [], [""]
+        for parent, letter in nm._reduced_word_tree(2, 6):
+            prefixes = [""] * letter.size if parent is None else [level[p] for p in parent]
+            level = [w + "aAbB"[c] for w, c in zip(prefixes, letter)]
+            words += level
+        assert words == list(nm.enumerate_reduced_words(2, 6))
+
+    # the last step of the 50-step path is the worst conditioned; with the
+    # complete holonomy as target, the target's parabolic words drop out
+    @pytest.mark.parametrize("source_step, target_step",
+                             [(0, 1), (0, 17), (0, 33), (0, 50), (50, 0)])
+    def test_table_equals_per_word_path(self, fig8_path50, source_step, target_step):
+        source = fig8_path50[source_step].representation
+        target = fig8_path50[target_step].representation
+        D = nm.OrbitBoundaryMap.build(source, target, max_word_length=6, min_table=1)
+        src, tgt = _orbit_table_per_word(source, target, 6)
+        assert src.shape[0] > 1000
+        assert np.array_equal(D.table_source, src)
+        assert np.array_equal(D.table_target, tgt)
+
+    def test_attracting_point_at_infinity(self):
+        # 'a' fixes 0 and inf, attracting inf: the table holds the north pole
+        a = geo.psl2_to_lorentz(np.diag([2.0, 0.5]))
+        b = geo.psl2_to_lorentz(np.array([[1.0, 1.0], [1.0, 2.0]]))
+        rep = nm.Representation((a, b), (), 3)
+        D = nm.OrbitBoundaryMap.build(rep, rep, max_word_length=4, min_table=1)
+        src, tgt = _orbit_table_per_word(rep, rep, 4)
+        assert np.array_equal(D.table_source, src)
+        assert np.array_equal(D.table_target, tgt)
+        assert np.any(np.all(src == [0.0, 0.0, 1.0], axis=1))
+
+    def test_generators_without_spin_rejected(self, holonomy):
+        lorentz_only = nm.embed_representation(holonomy, 3)
+        with pytest.raises(ValueError, match="spin"):
+            nm.OrbitBoundaryMap.build(holonomy, lorentz_only, min_table=1)
 
 
 class TestNaturalMapExactCases:
