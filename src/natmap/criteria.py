@@ -215,11 +215,12 @@ def path_diagnostics(path, family: VisualFamily, probes) -> PathDiagnostics:
     """Natural-map diagnostics of the orbit-table maps from the complete
     holonomy ``path[0]`` to every later step, at each probe."""
     complete = path[0].representation
-    entries = [(st.t, st.representation,
+    # built one step at a time, so only one table is alive at once
+    entries = ((st.t, st.representation,
                 OrbitBoundaryMap.build(complete, st.representation,
                                        max_word_length=8, min_table=5000),
                 st.volume.value)
-               for st in path[1:]]
+               for st in path[1:])
     rows = convergence_diagnostics(entries, family, probes, FIG8_VOLUME)
     steps = [rows[i:i + len(probes)] for i in range(0, len(rows), len(probes))]
     # the derivative bound holds only while the largest eigenvalue of H

@@ -12,7 +12,7 @@ just up to discretization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -61,6 +61,10 @@ class Representation:
     generators: tuple[Isometry, ...]
     relators: tuple[str, ...]
     source_dim: int
+    # source half of the orbit tables built from this representation, by
+    # (max_word_length, length_tol); see ``_orbit_table_source``
+    _orbit_sources: dict = field(default_factory=dict, init=False,
+                                 repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
@@ -100,6 +104,23 @@ class Representation:
         gi = g.inverse()
         return Representation(tuple(g @ h @ gi for h in self.generators),
                               self.relators, self.source_dim)
+
+    def _orbit_table_source(self, max_word_length: int, length_tol: float):
+        """The source half of ``OrbitBoundaryMap.build``, computed once per
+        (max_word_length, length_tol): the word tree, the mask of its words
+        that are loxodromic here, and their attracting fixed points.  The
+        arrays are read-only, since every later table shares them."""
+        key = (max_word_length, length_tol)
+        if key not in self._orbit_sources:
+            words = _reduced_word_tree(len(self.generators), max_word_length)
+            spins = _word_spins(self, words)
+            lox = _spin_translation_lengths(spins) > length_tol
+            fixed = _attracting_fixed_points(spins[lox])
+            arrays = [lox, fixed] + [a for level in words for a in level if a is not None]
+            for a in arrays:
+                a.setflags(write=False)
+            self._orbit_sources[key] = (tuple(words), lox, fixed)
+        return self._orbit_sources[key]
 
     def is_elementary(self, tol: float = 1e-8) -> bool:
         """True when the generators share a fixed ideal point or an axis."""
@@ -286,16 +307,21 @@ class OrbitBoundaryMap:
     entry of the nearest source fixed point.  Equivariance holds exactly on
     the table and only approximately elsewhere, so the map is flagged
     ``approximate`` and every consumer should label results accordingly.
+
+    The target fixed points are computed on demand, only for the entries a
+    query lands on; ``table_target`` completes and returns the whole half.
     """
 
     kind = "orbit-approximation"
     approximate = True
 
-    def __init__(self, table_source: np.ndarray, table_target: np.ndarray):
+    def __init__(self, table_source: np.ndarray, target_spins: np.ndarray):
         self.table_source = table_source
-        self.table_target = table_target
+        self._target_spins = target_spins
+        self._target = np.empty((len(target_spins), 3))
+        self._filled = np.zeros(len(target_spins), dtype=bool)
         self.source_dim = table_source.shape[1]
-        self.target_dim = table_target.shape[1]
+        self.target_dim = self._target.shape[1]
         self._tree = cKDTree(table_source)
 
     @classmethod
@@ -305,43 +331,42 @@ class OrbitBoundaryMap:
         """Table over the reduced words up to ``max_word_length`` that are
         loxodromic (translation length above ``length_tol``) on both sides.
 
-        Works on all words at once from the k = 3 spin matrices; the table
-        is bitwise the one of evaluating each word, filtering it with
+        Works on all words at once from the k = 3 spin matrices, and takes
+        the source half from ``source._orbit_table_source``; the table is
+        bitwise the one of evaluating each word, filtering it with
         ``translation_length`` and taking ``loxodromic_fixed_points``.
         """
         if len(source.generators) != len(target.generators):
             raise ValueError("representations must share a generating set")
         if any(g.spin is None for g in source.generators + target.generators):
             raise ValueError("orbit tables need the spin matrices of k = 3 generators")
-        words = _reduced_word_tree(len(source.generators), max_word_length)
-        src = _word_spins(source, words)
+        words, src_lox, src_fixed = source._orbit_table_source(max_word_length, length_tol)
         tgt = _word_spins(target, words)
-        keep = ((_spin_translation_lengths(src) > length_tol)
-                & (_spin_translation_lengths(tgt) > length_tol))
+        tgt_lox = _spin_translation_lengths(tgt) > length_tol
+        keep = src_lox & tgt_lox
         n = int(keep.sum())
         if n < min_table:
             raise ValueError(
                 f"orbit table too small ({n} < {min_table}); "
                 "increase max_word_length")
-        return cls(_attracting_fixed_points(src[keep]),
-                   _attracting_fixed_points(tgt[keep]))
+        return cls(src_fixed[tgt_lox[src_lox]], tgt[keep])
+
+    def _fill(self, idx: np.ndarray) -> None:
+        # LAPACK solves each matrix of a batch on its own, so an entry is
+        # bitwise the same whichever batch computes it
+        need = np.unique(idx[~self._filled[idx]])
+        self._target[need] = _attracting_fixed_points(self._target_spins[need])
+        self._filled[need] = True
+
+    @property
+    def table_target(self) -> np.ndarray:
+        self._fill(np.flatnonzero(~self._filled))
+        return self._target
 
     def map_points(self, points: np.ndarray) -> np.ndarray:
         _, idx = self._tree.query(points)
-        return self.table_target[idx]
-
-    def equivariance_report(self, source_gens, target_gens,
-                            rng: np.random.Generator) -> float:
-        """Max angular deviation of D(g x) from rho(g) D(x) on 100 random x."""
-        x = rng.standard_normal((100, self.source_dim))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        worst = 0.0
-        for gs, gt in zip(source_gens, target_gens):
-            lhs = self.map_points(gs.apply_boundary_many(x))
-            rhs = gt.apply_boundary_many(self.map_points(x))
-            dots = np.clip(np.einsum("ij,ij->i", lhs, rhs), -1.0, 1.0)
-            worst = max(worst, float(np.arccos(dots).max()))
-        return worst
+        self._fill(idx)
+        return self._target[idx]
 
 
 # ---------------------------------------------------------------------------

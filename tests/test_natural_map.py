@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from natmap import geometry as geo
 from natmap import natural_map as nm
@@ -80,16 +81,12 @@ class TestBoundaryMaps:
         assert np.allclose(out[:, :3], pts)
         assert np.allclose(out[:, 3:], 0.0)
 
-    def test_orbit_table(self, holonomy, fig8_path, rng):
+    def test_orbit_table(self, holonomy, fig8_path):
         target = fig8_path[4].representation
         D = nm.OrbitBoundaryMap.build(holonomy, target,
                                       max_word_length=8, min_table=5000)
         assert D.table_source.shape[0] >= 5000
         assert D.approximate
-        dev = D.equivariance_report(
-            [holonomy.evaluate(c) for c in "ab"],
-            [target.evaluate(c) for c in "ab"], rng)
-        assert np.isfinite(dev)      # reported, not asserted small
 
 
 def _orbit_table_per_word(source, target, max_word_length, length_tol=1e-6):
@@ -103,6 +100,11 @@ def _orbit_table_per_word(source, target, max_word_length, length_tol=1e-6):
             src.append(geo.loxodromic_fixed_points(gs)[0].direction)
             tgt.append(geo.loxodromic_fixed_points(gt)[0].direction)
     return np.asarray(src), np.asarray(tgt)
+
+
+def _uncached(rep):
+    """An equal representation whose orbit-table source cache is empty."""
+    return nm.Representation(rep.generators, rep.relators, rep.source_dim)
 
 
 class TestOrbitTable:
@@ -126,6 +128,48 @@ class TestOrbitTable:
         assert src.shape[0] > 1000
         assert np.array_equal(D.table_source, src)
         assert np.array_equal(D.table_target, tgt)
+
+    @pytest.mark.parametrize("step", [1, 25, 50])
+    def test_lazy_targets_equal_full_table(self, fig8_path50, fam2000, step):
+        complete = fig8_path50[0].representation
+        target = fig8_path50[step].representation
+        D = nm.OrbitBoundaryMap.build(complete, target,
+                                      max_word_length=8, min_table=5000)
+        # an equal source with an empty cache gives the reference table
+        fresh = nm.OrbitBoundaryMap.build(_uncached(complete), target,
+                                          max_word_length=8, min_table=5000)
+        full = fresh.table_target
+        nodes, _ = fam2000.quadrature()
+        _, idx = cKDTree(fresh.table_source).query(nodes)
+        assert np.array_equal(D.table_source, fresh.table_source)
+        assert np.array_equal(D.map_points(nodes), full[idx])
+        # only the entries the nodes land on are computed
+        assert D._filled.sum() == np.unique(idx).size < full.shape[0]
+        assert np.array_equal(D.table_target, full)
+
+    def test_source_cache_key_and_aliasing(self, fig8_path50):
+        # deformed source: its peripheral words have translation lengths
+        # between 1e-6 and 1e-3, so the two tolerances give different tables
+        source = _uncached(fig8_path50[1].representation)
+        target = fig8_path50[50].representation
+        sizes = []
+        for length, tol in [(6, 1e-6), (8, 1e-6), (8, 1e-3), (6, 1e-6), (8, 1e-6)]:
+            D = nm.OrbitBoundaryMap.build(source, target, max_word_length=length,
+                                          min_table=1, length_tol=tol)
+            ref = nm.OrbitBoundaryMap.build(_uncached(source), target,
+                                            max_word_length=length,
+                                            min_table=1, length_tol=tol)
+            assert np.array_equal(D.table_source, ref.table_source)
+            assert np.array_equal(D.table_target, ref.table_target)
+            sizes.append(D.table_source.shape[0])
+            # writing into a returned table must not reach the next build
+            D.table_source[:] = 0.0
+            D.table_target[:] = 0.0
+        assert sizes[0] == sizes[3] < sizes[2] < sizes[1] == sizes[4]
+        for words, lox, fixed in source._orbit_sources.values():
+            assert not lox.flags.writeable and not fixed.flags.writeable
+            assert not any(a.flags.writeable for level in words for a in level
+                           if a is not None)
 
     def test_attracting_point_at_infinity(self):
         # 'a' fixes 0 and inf, attracting inf: the table holds the north pole
