@@ -20,7 +20,6 @@ import numpy as np
 from .geometry import (
     BoundaryPoint,
     HPoint,
-    TangentVector,
     _exp_chart,
     busemann_gradients_frame,
     busemann_many,
@@ -28,6 +27,10 @@ from .geometry import (
 from .measures import BoundaryMeasure, max_atom_mass
 
 HALF_ATOM_TOL = 1e-12
+ARMIJO_CONTRACTION = 0.5
+ARMIJO_SLOPE = 1e-4
+# smallest eigenvalue of I - H below which Newton gives way to a gradient step
+HESSIAN_FLOOR = 1e-8
 
 
 class TwoEqualAtomsError(ValueError):
@@ -48,9 +51,6 @@ class NoConvergenceError(RuntimeError):
 class SolverConfig:
     gradient_tol: float = 1e-10
     max_iterations: int = 200
-    armijo_contraction: float = 0.5
-    armijo_slope: float = 1e-4
-    hessian_floor: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -66,36 +66,22 @@ class BarycenterResult:
 # the convex functional and its derivatives
 # ---------------------------------------------------------------------------
 
-def phi(beta: BoundaryMeasure, y: HPoint) -> float:
-    """phi(y): weighted Busemann average, convex along geodesics."""
-    return _phi_chart(beta, y.coords)
-
-
 def _phi_chart(beta: BoundaryMeasure, y: np.ndarray) -> float:
+    """phi(y): weighted Busemann average, convex along geodesics."""
     return float(np.dot(beta.weights, busemann_many(y, beta.points)))
 
 
 def _grad_frame(beta: BoundaryMeasure, y: np.ndarray) -> np.ndarray:
+    """Gradient of phi at y in frame components."""
     b = busemann_gradients_frame(y, beta.points)
     return beta.weights @ b
 
 
 def _hess_frame(beta: BoundaryMeasure, y: np.ndarray) -> np.ndarray:
+    """Hessian of phi at y in frame components: I - H(y)."""
     b = busemann_gradients_frame(y, beta.points)
     H = np.einsum("i,ij,il->jl", beta.weights, b, b)
     return np.eye(y.size) - H
-
-
-def phi_gradient(beta: BoundaryMeasure, y: HPoint) -> TangentVector:
-    """Riemannian gradient of phi at y (integral of the Busemann gradients)."""
-    g = _grad_frame(beta, y.coords)
-    s = float(np.dot(y.coords, y.coords))
-    return TangentVector(y, (1.0 - s) / 2.0 * g)
-
-
-def phi_hessian(beta: BoundaryMeasure, y: HPoint) -> np.ndarray:
-    """Hessian of phi at y in the conformal orthonormal frame: I - H(y)."""
-    return _hess_frame(beta, y.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +129,7 @@ def barycenter(beta: BoundaryMeasure,
                                     degenerate_support=degenerate)
         Hf = _hess_frame(beta, y)
         eigmin = float(np.linalg.eigvalsh(Hf)[0])
-        newton_ok = eigmin >= cfg.hessian_floor
+        newton_ok = eigmin >= HESSIAN_FLOOR
         if newton_ok:
             step_frame = -np.linalg.solve(Hf, g)
         else:
@@ -167,9 +153,9 @@ def barycenter(beta: BoundaryMeasure,
         while t > 1e-16:
             cand = _exp_chart(y, t * chart_step)
             cand_val = _phi_chart(beta, cand)
-            if cand_val <= val + cfg.armijo_slope * t * slope:
+            if cand_val <= val + ARMIJO_SLOPE * t * slope:
                 break
-            t *= cfg.armijo_contraction
+            t *= ARMIJO_CONTRACTION
         y = _exp_chart(y, t * chart_step)
         val = _phi_chart(beta, y)
 
@@ -184,7 +170,7 @@ def barycenter(beta: BoundaryMeasure,
 # independent coarse-to-fine grid minimizer (reference method)
 # ---------------------------------------------------------------------------
 
-def _coercivity_radius(beta: BoundaryMeasure, floor: float = 3.0) -> float:
+def _coercivity_radius(beta: BoundaryMeasure) -> float:
     """A-priori bound on the distance of the minimizer from the origin.
 
     Uses B(y, theta) >= max(-r, r - 2 log 2 + 2 log sin(angle)) at radius r
@@ -199,7 +185,7 @@ def _coercivity_radius(beta: BoundaryMeasure, floor: float = 3.0) -> float:
     cosang = np.clip(dirs @ beta.points.T, -1.0, 1.0)
     log_sin = np.log(np.maximum(np.sqrt(1.0 - cosang ** 2), 1e-300))
     w = beta.weights
-    r = floor
+    r = 3.0
     while r < 60.0:
         lower = w @ np.maximum(-r, r - 2.0 * np.log(2.0) + 2.0 * log_sin).T
         if np.min(lower) > 0.0:
@@ -240,49 +226,3 @@ def grid_minimize_phi(beta: BoundaryMeasure) -> HPoint:
                     best_val, best, moved = v, cand, True
         step *= 0.5
     return HPoint(best)
-
-
-# ---------------------------------------------------------------------------
-# weak-* continuity diagnostic
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WeakStarReport:
-    deviations: list
-    max_tail_deviation: float
-    limit_kind: str
-
-
-def _result_deviation(a: BarycenterResult, b: BarycenterResult) -> float:
-    if a.kind != b.kind:
-        return float("inf")
-    if a.kind == "interior":
-        from .geometry import distance
-        return distance(a.location, b.location)
-    u = a.location.direction
-    v = b.location.direction
-    return float(np.arccos(np.clip(np.dot(u, v), -1.0, 1.0)))
-
-
-def weak_star_continuity_check(measures: list,
-                               limit: BoundaryMeasure | None = None,
-                               cfg: SolverConfig | None = None,
-                               tail_fraction: float = 0.25) -> WeakStarReport:
-    """Deviation of barycenter(beta_n) from the limit barycenter.
-
-    With no limit measure (or a limit in the excluded two-equal-atoms
-    class) deviations are taken against the final iterate, which checks
-    convergence of the sequence itself.  The reported maximum runs over the
-    trailing ``tail_fraction`` of the sequence.
-    """
-    results = [barycenter(b, cfg) for b in measures]
-    if limit is not None:
-        try:
-            target = barycenter(limit, cfg)
-        except TwoEqualAtomsError:
-            target = results[-1]
-    else:
-        target = results[-1]
-    devs = [_result_deviation(r, target) for r in results]
-    tail = max(1, int(np.ceil(tail_fraction * len(devs))))
-    return WeakStarReport(devs, float(max(devs[-tail:])), target.kind)

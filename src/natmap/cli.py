@@ -177,15 +177,22 @@ def _ball_probes(rng, n: int, r_lo: float, r_hi: float) -> list[HPoint]:
     return probes
 
 
+def _quadrature_fits(nodes: int, what: str) -> bool:
+    """Whether S^2 has a quadrature of ``nodes`` nodes; prints the usage
+    error when not."""
+    try:
+        VisualFamily(3, nodes).quadrature()
+    except ValueError as exc:
+        print(f"usage error: {what}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_natural_map_suite(args) -> int:
     rep = _Report("natural-map-suite", {"nodes": args.nodes, "m": args.m,
                                         "seed": args.seed})
     fam = VisualFamily(3, args.nodes)
-    try:
-        VisualFamily(3, 4 * args.nodes).quadrature()
-    except ValueError as exc:
-        print(f"usage error: the four-fold refinement of --nodes: {exc}",
-              file=sys.stderr)
+    if not _quadrature_fits(4 * args.nodes, "the four-fold refinement of --nodes"):
         return 2
     probes = _ball_probes(np.random.default_rng(args.seed), 50, 0.05, 1.0)
 
@@ -258,6 +265,8 @@ def cmd_volume_path(args) -> int:
 def cmd_rigidity_report(args) -> int:
     rep = _Report("rigidity-report", {"steps": args.steps, "nodes": args.nodes,
                                       "seed": args.seed})
+    if not _quadrature_fits(args.nodes, "--nodes"):
+        return 2
     path = deformation_path(figure_eight(), steps=args.steps)
     probes = _ball_probes(np.random.default_rng(args.seed), 4, 0.1, 0.5)
     diag = criteria.path_diagnostics(path, VisualFamily(3, args.nodes), probes)
@@ -279,20 +288,30 @@ def cmd_rigidity_report(args) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+def positive_int(text: str) -> int:
+    """argparse type of the count flags: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 # name, handler, help, command flags (flag, type, default), default seed
 _COMMANDS = (
     ("psi-scan", cmd_psi_scan, "maximum and boundary analysis of psi",
-     (("--k", int, 3), ("--margin", float, 1e-3), ("--samples", int, 100_000)), 0),
+     (("--k", int, 3), ("--margin", float, 1e-3),
+      ("--samples", positive_int, 100_000)), 0),
     ("psi-converse", cmd_psi_converse, "level sets of psi near the maximum",
-     (("--k", int, 3), ("--eps", float, 1e-4), ("--trials", int, 100_000)), 0),
+     (("--k", int, 3), ("--eps", float, 1e-4),
+      ("--trials", positive_int, 100_000)), 0),
     ("barycenter-suite", cmd_barycenter_suite, "barycenter solver checks",
      (("--tol", float, 1e-10),), 7),
     ("natural-map-suite", cmd_natural_map_suite, "natural map and Jacobian checks",
-     (("--nodes", int, 2000), ("--m", int, 5)), 0),
+     (("--nodes", positive_int, 2000), ("--m", int, 5)), 0),
     ("volume-path", cmd_volume_path, "figure-eight volumes and rigidity scan",
-     (("--steps", int, 50),), 0),
+     (("--steps", positive_int, 50),), 0),
     ("rigidity-report", cmd_rigidity_report, "diagnostics along the deformation path",
-     (("--steps", int, 50), ("--nodes", int, 2000)), 0),
+     (("--steps", positive_int, 50), ("--nodes", positive_int, 2000)), 0),
 )
 
 
@@ -322,9 +341,18 @@ def main(argv=None) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         explicit = {a for a in (argv or sys.argv[1:]) if a.startswith("--")}
+        # config values pass through the same types as the flags they set
+        kinds = {flag: kind for name, _, _, flags, _ in _COMMANDS
+                 if name == args.command for flag, kind, _ in flags}
         for key, value in overrides.items():
             flag = "--" + key.replace("_", "-")
             if hasattr(args, key) and flag not in explicit:
+                if flag in kinds:
+                    try:
+                        value = kinds[flag](str(value))
+                    except (argparse.ArgumentTypeError, ValueError) as exc:
+                        print(f"config error: {key}: {exc}", file=sys.stderr)
+                        return 2
                 setattr(args, key, value)
     return args.func(args)
 

@@ -81,7 +81,7 @@ def identity_checks(probes, family: VisualFamily) -> IdentityChecks:
     """The natural map of the identity boundary map at each probe, on the
     family's nodes and on four times as many."""
     k = family.dimension
-    fine_family = VisualFamily(k, 4 * family.nodes, family.rule)
+    fine_family = VisualFamily(k, 4 * family.nodes)
     pushed = PushedFamily(identity_boundary_map(k), family)
     fine = PushedFamily(identity_boundary_map(k), fine_family)
     fine_disp, hdev, rows = 0.0, 0.0, []

@@ -11,10 +11,10 @@ Conventions
 * Hyperboloid: upper sheet of <X,X> = -1 in R^(k,1), Lorentz form
   diag(-1, 1, ..., 1), time coordinate first.
 * Busemann functions are normalized at the origin O of the ball.
-* Tangent vectors are stored in ball-chart components.  The "frame"
-  components of a tangent vector are its coefficients in the conformal
-  orthonormal frame E_i = ((1-|x|^2)/2) d/dx_i; frame components of the
-  Busemann gradient are unit Euclidean vectors.
+* Gradients and Hessians are given in frame components: coefficients in
+  the conformal orthonormal frame E_i = ((1-|x|^2)/2) d/dx_i.  The frame
+  components of a Busemann gradient form a unit Euclidean vector, and the
+  Hessian of B(., theta) is I - b b^T with b that vector.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from scipy.linalg import expm
 
 LORENTZ_FORM_TOL = 1e-10
 BOUNDARY_NORM_TOL = 1e-12
-# eigenvalue-modulus gap below which an isometry is not called loxodromic
-LOXODROMIC_TOL = 1e-8
 
 
 class DimensionMismatchError(ValueError):
@@ -58,7 +56,7 @@ class HPoint:
         object.__setattr__(self, "coords", c)
         if c.ndim != 1 or c.size < 2:
             raise ValueError("ball point needs a vector of dimension >= 2")
-        if np.dot(c, c) >= 1.0:
+        if not np.dot(c, c) < 1.0:        # NaN fails it
             raise ValueError("ball point must have Euclidean norm < 1")
 
     @property
@@ -79,7 +77,7 @@ class BoundaryPoint:
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=float)
         n = np.linalg.norm(d)
-        if abs(n - 1.0) > 1e-6:
+        if not abs(n - 1.0) <= 1e-6:      # NaN fails it
             raise ValueError("boundary point must be a unit vector")
         if abs(n - 1.0) > BOUNDARY_NORM_TOL:
             d = d / n
@@ -90,39 +88,9 @@ class BoundaryPoint:
         return self.direction.size
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """Tangent vector at ``base``, stored in ball-chart components."""
-
-    base: HPoint
-    vec: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vec, dtype=float)
-        object.__setattr__(self, "vec", v)
-        if v.shape != self.base.coords.shape:
-            raise DimensionMismatchError("tangent vector does not match base point")
-
-    @property
-    def riemannian_norm(self) -> float:
-        lam = conformal_factor(self.base.coords)
-        return lam * float(np.linalg.norm(self.vec))
-
-    def frame_components(self) -> np.ndarray:
-        """Coefficients in the conformal orthonormal frame at the base."""
-        return conformal_factor(self.base.coords) * self.vec
-
-
 def conformal_factor(x: np.ndarray) -> float:
     """lambda(x) = 2/(1-|x|^2), the ball-metric scale at x."""
     return 2.0 / (1.0 - float(np.dot(x, x)))
-
-
-def riemannian_inner(u: TangentVector, v: TangentVector) -> float:
-    if u.base != v.base and not np.array_equal(u.base.coords, v.base.coords):
-        raise DimensionMismatchError("tangent vectors based at different points")
-    lam = conformal_factor(u.base.coords)
-    return lam * lam * float(np.dot(u.vec, v.vec))
 
 
 # ---------------------------------------------------------------------------
@@ -162,35 +130,22 @@ def tangent_to_ball(X: np.ndarray, U: np.ndarray) -> np.ndarray:
 # distance and Busemann calculus
 # ---------------------------------------------------------------------------
 
-def _check_same_dim(x: HPoint, y) -> None:
-    if x.dimension != y.dimension:
-        raise DimensionMismatchError(
-            f"dimension {x.dimension} vs {y.dimension}")
-
-
 def distance(x: HPoint, y: HPoint) -> float:
     """Hyperbolic distance in the ball model.
 
     Uses d = 2 asinh sqrt(|x-y|^2 / ((1-|x|^2)(1-|y|^2))), which stays
     accurate for nearby points where the acosh form loses digits.
     """
-    _check_same_dim(x, y)
+    if x.dimension != y.dimension:
+        raise DimensionMismatchError(f"dimension {x.dimension} vs {y.dimension}")
     a, b = x.coords, y.coords
     q = np.dot(a - b, a - b) / ((1.0 - np.dot(a, a)) * (1.0 - np.dot(b, b)))
     return 2.0 * float(np.arcsinh(np.sqrt(q)))
 
 
-def busemann(x: HPoint, theta: BoundaryPoint) -> float:
-    """Busemann function B(x, theta) normalized so that B(O, theta) = 0."""
-    _check_same_dim(x, theta)
-    c = x.coords
-    t = theta.direction
-    d = c - t
-    return float(np.log(np.dot(d, d) / (1.0 - np.dot(c, c))))
-
-
 def busemann_many(x: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """B(x, theta_i) for an (N, k) array of unit directions."""
+    """B(x, theta_i) for an (N, k) array of unit directions, normalized so
+    that B(O, theta) = 0."""
     diff = x[None, :] - directions
     return np.log(np.einsum("ij,ij->i", diff, diff) / (1.0 - np.dot(x, x)))
 
@@ -206,27 +161,8 @@ def busemann_gradients_frame(x: np.ndarray, directions: np.ndarray) -> np.ndarra
     return x[None, :] + (1.0 - np.dot(x, x)) * diff / r2[:, None]
 
 
-def busemann_gradient(x: HPoint, theta: BoundaryPoint) -> TangentVector:
-    """Riemannian gradient of B(., theta); unit vector pointing away from theta."""
-    _check_same_dim(x, theta)
-    b = busemann_gradients_frame(x.coords, theta.direction[None, :])[0]
-    s = np.dot(x.coords, x.coords)
-    return TangentVector(x, (1.0 - s) / 2.0 * b)
-
-
-def busemann_hessian(x: HPoint, theta: BoundaryPoint) -> np.ndarray:
-    """Hessian of B(., theta) in the conformal orthonormal frame at x.
-
-    In curvature -1 this is g - dB (x) dB, so the returned matrix is
-    I - b b^T with b the unit frame gradient.
-    """
-    _check_same_dim(x, theta)
-    b = busemann_gradients_frame(x.coords, theta.direction[None, :])[0]
-    return np.eye(x.dimension) - np.outer(b, b)
-
-
 # ---------------------------------------------------------------------------
-# exponential / logarithm / parallel transport
+# exponential and logarithm in the chart
 # ---------------------------------------------------------------------------
 
 def _exp_chart(x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -249,38 +185,6 @@ def _log_chart(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     W = Y - c * X
     sinh_d = np.sqrt(c * c - 1.0)
     return tangent_to_ball(X, d / sinh_d * W)
-
-def _transport_chart(x: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-    X = ball_to_hyperboloid(x)
-    Y = ball_to_hyperboloid(y)
-    V = tangent_to_hyperboloid(x, v)
-    c = X[0] * Y[0] - np.dot(X[1:], Y[1:])
-    yv = -Y[0] * V[0] + np.dot(Y[1:], V[1:])
-    W = V + yv / (1.0 + c) * (X + Y)
-    return tangent_to_ball(Y, W)
-
-
-def exp_map(x: HPoint, v: TangentVector) -> HPoint:
-    if v.base.dimension != x.dimension:
-        raise DimensionMismatchError("tangent vector based in another dimension")
-    return HPoint(_exp_chart(x.coords, v.vec))
-
-
-def log_map(x: HPoint, y: HPoint) -> TangentVector:
-    _check_same_dim(x, y)
-    return TangentVector(x, _log_chart(x.coords, y.coords))
-
-
-def parallel_transport(x: HPoint, y: HPoint, v: TangentVector) -> TangentVector:
-    _check_same_dim(x, y)
-    return TangentVector(y, _transport_chart(x.coords, y.coords, v.vec))
-
-
-def geodesic_point(x: HPoint, y: HPoint, t: float) -> HPoint:
-    """Point at parameter t on the unit-speed-free geodesic [x, y] (t in [0,1])."""
-    v = log_map(x, y)
-    return exp_map(x, TangentVector(x, t * v.vec))
-
 
 # ---------------------------------------------------------------------------
 # isometries
@@ -318,10 +222,6 @@ class Isometry:
     @property
     def dimension(self) -> int:
         return self.lorentz.shape[0] - 1
-
-    @property
-    def orientation(self) -> int:
-        return 1 if np.linalg.det(self.lorentz) > 0 else -1
 
     @staticmethod
     def identity(k: int) -> "Isometry":
@@ -394,17 +294,8 @@ def random_isometry(rng: np.random.Generator, k: int,
     return Isometry(expm(A))
 
 
-def hyperbolic_translation(k: int, length: float, axis: int = 0) -> Isometry:
-    """Translation by the given length along a coordinate axis through O."""
-    g = np.eye(k + 1)
-    i = axis + 1
-    g[0, 0] = g[i, i] = np.cosh(length)
-    g[0, i] = g[i, 0] = np.sinh(length)
-    return Isometry(g)
-
-
 # ---------------------------------------------------------------------------
-# translation length and classification
+# translation length and fixed points
 # ---------------------------------------------------------------------------
 
 def _fixed_boundary_candidates(g: Isometry) -> list[np.ndarray]:
@@ -449,7 +340,7 @@ def _fixed_boundary_candidates(g: Isometry) -> list[np.ndarray]:
     return dirs
 
 
-def _displacement_infimum(g: Isometry, t_max: float = 20.0) -> float:
+def _displacement_infimum(g: Isometry) -> float:
     """Approximate inf_y d(gy, y) by descending toward candidate fixed ends.
 
     Depth is capped near t = 20: beyond that the ball-chart rounding noise
@@ -459,7 +350,7 @@ def _displacement_infimum(g: Isometry, t_max: float = 20.0) -> float:
     k = g.dimension
     best = distance(HPoint.origin(k), g.apply(HPoint.origin(k)))
     for d in _fixed_boundary_candidates(g):
-        for t in np.linspace(0.5, t_max, 80):
+        for t in np.linspace(0.5, 20.0, 80):
             r = min(np.tanh(t / 2.0), 1.0 - 1e-14)
             p = HPoint(r * d)
             best = min(best, distance(p, g.apply(p)))
@@ -487,31 +378,6 @@ def translation_length(g: Isometry) -> float:
     # accurate to roughly 1e-6 absolute
     refined = _displacement_infimum(g)
     return 0.0 if refined < 1e-6 else refined
-
-
-def classify(g: Isometry) -> str:
-    """One of 'identity', 'elliptic', 'parabolic', 'loxodromic'."""
-    n = g.dimension + 1
-    if np.max(np.abs(g.lorentz - np.eye(n))) < 1e-10:
-        return "identity"
-    if g.spin is not None:
-        tr = complex(np.trace(g.spin)) / cmath.sqrt(complex(np.linalg.det(g.spin)))
-        if abs(tr.imag) > 1e-10 or abs(tr.real) > 2.0 + 1e-10:
-            return "loxodromic"
-        return "parabolic" if abs(abs(tr.real) - 2.0) < 1e-10 else "elliptic"
-    if translation_length(g) > LOXODROMIC_TOL:
-        return "loxodromic"
-    # eigenvalue-1 eigenspace: timelike vector inside <=> interior fixed point
-    vals, vecs = np.linalg.eig(g.lorentz)
-    cols = [j for j in range(n) if abs(vals[j] - 1.0) < 1e-6]
-    if not cols:
-        return "elliptic"
-    V = np.real(vecs[:, cols])
-    gram = V.T @ minkowski(n) @ V
-    gram = (gram + gram.T) / 2.0
-    if np.min(np.linalg.eigvalsh(gram)) < -1e-8:
-        return "elliptic"
-    return "parabolic"
 
 
 def loxodromic_fixed_points(g: Isometry) -> tuple[BoundaryPoint, BoundaryPoint]:
@@ -569,13 +435,6 @@ def sphere_from_complex(z: complex) -> BoundaryPoint:
         -2.0 * z.imag / (r2 + 1.0),
         (r2 - 1.0) / (r2 + 1.0),
     ]))
-
-
-def complex_from_sphere(theta: BoundaryPoint) -> complex:
-    d = theta.direction
-    if abs(1.0 - d[2]) < 1e-15:
-        return cmath.inf
-    return complex(d[0], -d[1]) / (1.0 - d[2])
 
 
 def adjugate(A: np.ndarray) -> np.ndarray:

@@ -8,7 +8,6 @@ renormalizing, so the nodes never move as the basepoint does.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,7 +17,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 from scipy.special import roots_jacobi
 
-from .geometry import BoundaryPoint, HPoint, Isometry, busemann_many
+from .geometry import BoundaryPoint, Isometry
 
 MASS_TOL = 1e-10
 ATOM_CLUSTER_TOL = 1e-9  # radians
@@ -28,15 +27,6 @@ MAX_GAUSS_ORDER = 81     # largest per-axis order of the product rule
 # ---------------------------------------------------------------------------
 # sphere quadrature
 # ---------------------------------------------------------------------------
-
-def _fibonacci_sphere(n: int) -> np.ndarray:
-    """n quasi-uniform points on S^2 (golden-angle spiral)."""
-    idx = np.arange(n, dtype=float) + 0.5
-    z = 1.0 - 2.0 * idx / n
-    phi = 2.0 * np.pi * idx / ((1.0 + np.sqrt(5.0)) / 2.0)
-    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-
 
 def _product_sphere(dim_sphere: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Recursive Gauss-Jacobi product rule on S^d, exact for degree < 2*order."""
@@ -60,64 +50,27 @@ def _product_sphere(dim_sphere: int, order: int) -> tuple[np.ndarray, np.ndarray
     return pts, w / w.sum()
 
 
-def sphere_quadrature(k: int, n: int, rule: str = "auto") -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of a probability quadrature on S^(k-1).
+def sphere_quadrature(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a probability quadrature on S^(k-1) with at
+    least n nodes.
 
-    Rules: 'uniform-circle' (k = 2, exact up to degree n-1),
-    'product-gauss' (k >= 3, Gauss-Jacobi in each polar angle, spectrally
-    accurate), 'fibonacci' and 'fibonacci-symmetric' (k = 3, equal-weight
-    spirals, quasi Monte Carlo accuracy only).
-
-    The default for every k >= 3 is the product rule: measured Poisson-mass
-    errors of the spiral rules at 2000 nodes sit near 1e-5, which would eat
-    the whole tolerance budget of the downstream solvers.
+    For k = 2 the n-point uniform circle rule, exact up to degree n - 1;
+    for k >= 3 the smallest Gauss-Jacobi product rule (one Gauss-Jacobi
+    rule in each polar angle, spectrally accurate) that reaches n nodes.
     """
     if k < 2:
         raise ValueError("sphere dimension needs k >= 2")
-    if rule == "auto":
-        rule = "uniform-circle" if k == 2 else "product-gauss"
-    if rule == "uniform-circle":
-        if k != 2:
-            raise ValueError("uniform-circle rule is for k = 2")
+    if n < 1:
+        raise ValueError(f"a quadrature needs at least one node; {n} requested")
+    if k == 2:
         ang = 2.0 * np.pi * (np.arange(n) + 0.5) / n
         return np.column_stack([np.cos(ang), np.sin(ang)]), np.full(n, 1.0 / n)
-    if rule == "fibonacci":
-        if k != 3:
-            raise ValueError("fibonacci rule is for k = 3")
-        return _fibonacci_sphere(n), np.full(n, 1.0 / n)
-    if rule == "fibonacci-symmetric":
-        if k != 3:
-            raise ValueError("fibonacci rule is for k = 3")
-        half = max((n + 1) // 2, 2)
-        pts = _fibonacci_sphere(half)
-        pts = np.concatenate([pts, -pts])
-        return pts, np.full(2 * half, 0.5 / half)
-    if rule == "product-gauss":
-        for order in range(2, MAX_GAUSS_ORDER + 1):
-            pts, w = _product_sphere(k - 1, order)
-            if pts.shape[0] >= n:
-                return pts, w
-        raise ValueError(f"product-gauss rule on S^{k - 1} reaches at most "
-                         f"{pts.shape[0]} nodes; {n} requested")
-    raise ValueError(f"unknown quadrature rule '{rule}'")
-
-
-def rule_order(k: int, n: int, rule: str = "auto") -> int:
-    """Largest polynomial degree the rule integrates exactly (conservative)."""
-    if rule == "auto":
-        rule = "uniform-circle" if k == 2 else "product-gauss"
-    if rule == "uniform-circle":
-        return n - 1
-    if rule == "fibonacci":
-        return 0  # only constants are exact
-    if rule == "fibonacci-symmetric":
-        return 1  # antipodal symmetry kills every odd degree; constants exact
-    pts, _ = sphere_quadrature(k, n, rule)
-    # product rule with per-axis Gauss order m is exact for degree < 2m
-    order = 2
-    while _product_sphere(k - 1, order)[0].shape[0] < pts.shape[0]:
-        order += 1
-    return 2 * order - 1
+    for order in range(2, MAX_GAUSS_ORDER + 1):
+        pts, w = _product_sphere(k - 1, order)
+        if pts.shape[0] >= n:
+            return pts, w
+    raise ValueError(f"product-gauss rule on S^{k - 1} reaches at most "
+                     f"{pts.shape[0]} nodes; {n} requested")
 
 
 # ---------------------------------------------------------------------------
@@ -174,35 +127,6 @@ class BoundaryMeasure:
             return self.atom_points
         return np.concatenate([self.atom_points, self.node_points])
 
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
-    def integrate(self, f) -> float:
-        """Integral of f against the measure; f maps (N, k) arrays to (N,)."""
-        return float(np.dot(self.weights, np.asarray(f(self.points))))
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "atoms": [[float(w)] + [float(c) for c in p]
-                      for w, p in zip(self.atom_weights, self.atom_points)],
-            "nodes": [[float(w)] + [float(c) for c in p]
-                      for w, p in zip(self.node_weights, self.node_points)],
-        })
-
-    @staticmethod
-    def from_json(text: str) -> "BoundaryMeasure":
-        data = json.loads(text)
-
-        def split(rows):
-            if not rows:
-                return np.empty(0), np.empty((0, 2))
-            arr = np.asarray(rows, dtype=float)
-            return arr[:, 0], arr[:, 1:]
-
-        aw, ap = split(data["atoms"])
-        nw, npts = split(data["nodes"])
-        return BoundaryMeasure(aw, ap, nw, npts)
-
 
 def _merge_exact_duplicates(w: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     seen: dict[bytes, int] = {}
@@ -226,11 +150,6 @@ def atomic_measure(weights, points) -> BoundaryMeasure:
     return BoundaryMeasure(w / w.sum(), p, np.empty(0), np.empty((0, p.shape[1])))
 
 
-def dirac(point) -> BoundaryMeasure:
-    p = np.asarray(point, dtype=float).reshape(1, -1)
-    return atomic_measure(np.array([1.0]), p)
-
-
 # ---------------------------------------------------------------------------
 # visual / conformal-density family
 # ---------------------------------------------------------------------------
@@ -246,38 +165,17 @@ class VisualFamily:
 
     dimension: int
     nodes: int = 2000
-    rule: str = "auto"
 
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
-        return _cached_quadrature(self.dimension, self.nodes, self.rule)
-
-    @property
-    def rule_order(self) -> int:
-        return rule_order(self.dimension, self.nodes, self.rule)
+        return _cached_quadrature(self.dimension, self.nodes)
 
 
 @lru_cache(maxsize=32)
-def _cached_quadrature(k: int, n: int, rule: str):
-    pts, w = sphere_quadrature(k, n, rule)
+def _cached_quadrature(k: int, n: int):
+    pts, w = sphere_quadrature(k, n)
     pts.setflags(write=False)
     w.setflags(write=False)
     return pts, w
-
-
-def visual_weights_raw(family: VisualFamily, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized density weights w_i exp(-(k-1) B(x, theta_i)) and nodes."""
-    pts, w = family.quadrature()
-    dens = np.exp(-(family.dimension - 1) * busemann_many(x, pts))
-    return w * dens, pts
-
-
-def visual_measure(family: VisualFamily, x: HPoint) -> BoundaryMeasure:
-    """Visual probability measure seen from x, on the family's fixed nodes."""
-    if x.dimension != family.dimension:
-        raise ValueError("basepoint dimension does not match the family")
-    raw, pts = visual_weights_raw(family, x.coords)
-    return BoundaryMeasure(np.empty(0), np.empty((0, family.dimension)),
-                           raw / raw.sum(), pts)
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,14 @@ from .geometry import (
 from .measures import BoundaryMeasure, VisualFamily
 
 RELATOR_TOL = 1e-8
-FD_STEP_DEFAULT = 1e-4
+FD_STEP = 1e-4
 K_CONDITION_FLOOR = 1e-6
+# translation length above which a word enters the orbit table
+ORBIT_LENGTH_TOL = 1e-6
+# common-fixed-point tolerance of ``Representation.is_elementary``
+ELEMENTARY_TOL = 1e-8
+# slack of the Jacobian determinant bound check
+BOUND_TOL = 1e-3
 
 
 class ElementaryRepresentationError(ValueError):
@@ -62,7 +68,7 @@ class Representation:
     relators: tuple[str, ...]
     source_dim: int
     # source half of the orbit tables built from this representation, by
-    # (max_word_length, length_tol); see ``_orbit_table_source``
+    # max_word_length; see ``_orbit_table_source``
     _orbit_sources: dict = field(default_factory=dict, init=False,
                                  repr=False, compare=False)
 
@@ -100,29 +106,23 @@ class Representation:
             lorentz = g.lorentz
         return float(np.max(np.abs(lorentz - np.eye(self.target_dim + 1))))
 
-    def conjugate(self, g: Isometry) -> "Representation":
-        gi = g.inverse()
-        return Representation(tuple(g @ h @ gi for h in self.generators),
-                              self.relators, self.source_dim)
-
-    def _orbit_table_source(self, max_word_length: int, length_tol: float):
+    def _orbit_table_source(self, max_word_length: int):
         """The source half of ``OrbitBoundaryMap.build``, computed once per
-        (max_word_length, length_tol): the word tree, the mask of its words
-        that are loxodromic here, and their attracting fixed points.  The
-        arrays are read-only, since every later table shares them."""
-        key = (max_word_length, length_tol)
-        if key not in self._orbit_sources:
+        max_word_length: the word tree, the mask of its words that are
+        loxodromic here, and their attracting fixed points.  The arrays are
+        read-only, since every later table shares them."""
+        if max_word_length not in self._orbit_sources:
             words = _reduced_word_tree(len(self.generators), max_word_length)
             spins = _word_spins(self, words)
-            lox = _spin_translation_lengths(spins) > length_tol
+            lox = _spin_translation_lengths(spins) > ORBIT_LENGTH_TOL
             fixed = _attracting_fixed_points(spins[lox])
             arrays = [lox, fixed] + [a for level in words for a in level if a is not None]
             for a in arrays:
                 a.setflags(write=False)
-            self._orbit_sources[key] = (tuple(words), lox, fixed)
-        return self._orbit_sources[key]
+            self._orbit_sources[max_word_length] = (tuple(words), lox, fixed)
+        return self._orbit_sources[max_word_length]
 
-    def is_elementary(self, tol: float = 1e-8) -> bool:
+    def is_elementary(self) -> bool:
         """True when the generators share a fixed ideal point or an axis."""
         from .geometry import _fixed_boundary_candidates
         gens = [g for g in self.generators
@@ -142,7 +142,7 @@ class Representation:
             ok = True
             for g in gens[1:]:
                 img = g.apply_boundary(BoundaryPoint(d)).direction
-                if np.linalg.norm(img - d) > tol:
+                if np.linalg.norm(img - d) > ELEMENTARY_TOL:
                     ok = False
                     break
             if ok:
@@ -154,47 +154,21 @@ class Representation:
             for g in gens[1:]:
                 ip = g.apply_boundary(BoundaryPoint(p)).direction
                 iq = g.apply_boundary(BoundaryPoint(q)).direction
-                keeps = (np.linalg.norm(ip - p) < tol and np.linalg.norm(iq - q) < tol)
-                swaps = (np.linalg.norm(ip - q) < tol and np.linalg.norm(iq - p) < tol)
+                keeps = (np.linalg.norm(ip - p) < ELEMENTARY_TOL
+                         and np.linalg.norm(iq - q) < ELEMENTARY_TOL)
+                swaps = (np.linalg.norm(ip - q) < ELEMENTARY_TOL
+                         and np.linalg.norm(iq - p) < ELEMENTARY_TOL)
                 if not (keeps or swaps):
                     return False
             return True
         return False
 
 
-def embed_representation(rep: Representation, m: int) -> Representation:
-    """Block-embed a representation into Isom(H^m), m >= target dim."""
-    k = rep.target_dim
-    if m < k:
-        raise ValueError("embedding target must not be smaller")
-    gens = []
-    for g in rep.generators:
-        G = np.eye(m + 1)
-        G[:k + 1, :k + 1] = g.lorentz
-        gens.append(Isometry(G))
-    return Representation(tuple(gens), rep.relators, rep.source_dim)
-
-
-def enumerate_reduced_words(n_generators: int, max_length: int):
-    """Freely reduced words over the first n generators, shortest first."""
-    letters = [c for i in range(n_generators)
-               for c in (_LETTERS[i], _LETTERS[i].upper())]
-    frontier = [""]
-    for _ in range(max_length):
-        new = []
-        for w in frontier:
-            for ch in letters:
-                if w and w[-1] == ch.swapcase():
-                    continue
-                new.append(w + ch)
-        yield from new
-        frontier = new
-
-
 def _reduced_word_tree(n_generators: int, max_length: int):
-    """The words of ``enumerate_reduced_words``, level by level, as pairs
-    (index of the prefix in the previous level, index of the last letter
-    in 'aAbB...'); the first level has no prefixes."""
+    """The freely reduced words over the first n generators, shortest
+    first, level by level, as pairs (index of the prefix in the previous
+    level, index of the last letter in 'aAbB...'); the first level has no
+    prefixes."""
     n_letters = 2 * n_generators
     last = np.arange(n_letters)
     levels = [(None, last)] if max_length >= 1 else []
@@ -273,29 +247,20 @@ def identity_boundary_map(k: int) -> MobiusBoundaryMap:
 
 
 class TotallyGeodesicBoundaryMap:
-    """Equatorial embedding S^(k-1) -> S^(m-1), optionally twisted by
-    isometries on either side."""
+    """Equatorial embedding S^(k-1) -> S^(m-1)."""
 
     kind = "totally-geodesic"
     approximate = False
 
-    def __init__(self, k: int, m: int,
-                 pre: Isometry | None = None, post: Isometry | None = None):
+    def __init__(self, k: int, m: int):
         if m < k:
             raise ValueError("target sphere must not be smaller")
         self.source_dim = k
         self.target_dim = m
-        self.pre = pre
-        self.post = post
 
     def map_points(self, points: np.ndarray) -> np.ndarray:
-        p = points
-        if self.pre is not None:
-            p = self.pre.apply_boundary_many(p)
-        out = np.zeros((p.shape[0], self.target_dim))
-        out[:, :self.source_dim] = p
-        if self.post is not None:
-            out = self.post.apply_boundary_many(out)
+        out = np.zeros((points.shape[0], self.target_dim))
+        out[:, :self.source_dim] = points
         return out
 
 
@@ -326,10 +291,10 @@ class OrbitBoundaryMap:
 
     @classmethod
     def build(cls, source: Representation, target: Representation,
-              max_word_length: int = 8, min_table: int = 5000,
-              length_tol: float = 1e-6) -> "OrbitBoundaryMap":
+              max_word_length: int = 8, min_table: int = 5000) -> "OrbitBoundaryMap":
         """Table over the reduced words up to ``max_word_length`` that are
-        loxodromic (translation length above ``length_tol``) on both sides.
+        loxodromic (translation length above ``ORBIT_LENGTH_TOL``) on both
+        sides.
 
         Works on all words at once from the k = 3 spin matrices, and takes
         the source half from ``source._orbit_table_source``; the table is
@@ -340,9 +305,9 @@ class OrbitBoundaryMap:
             raise ValueError("representations must share a generating set")
         if any(g.spin is None for g in source.generators + target.generators):
             raise ValueError("orbit tables need the spin matrices of k = 3 generators")
-        words, src_lox, src_fixed = source._orbit_table_source(max_word_length, length_tol)
+        words, src_lox, src_fixed = source._orbit_table_source(max_word_length)
         tgt = _word_spins(target, words)
-        tgt_lox = _spin_translation_lengths(tgt) > length_tol
+        tgt_lox = _spin_translation_lengths(tgt) > ORBIT_LENGTH_TOL
         keep = src_lox & tgt_lox
         n = int(keep.sum())
         if n < min_table:
@@ -432,10 +397,6 @@ class OperatorPair:
     basepoint: HPoint
     image: HPoint
 
-    @property
-    def trace_error(self) -> float:
-        return abs(float(np.trace(self.H)) - 1.0)
-
 
 def operators_at(rho: Representation | None, D, family: VisualFamily,
                  x: HPoint, cfg: SolverConfig | None = None,
@@ -466,25 +427,23 @@ class JacobianResult:
 
 
 def _finite_difference_DF(pushed: PushedFamily, x: np.ndarray,
-                          image: HPoint, cfg: SolverConfig | None,
-                          h: float) -> np.ndarray:
+                          image: HPoint, cfg: SolverConfig | None) -> np.ndarray:
     k = x.size
     lam_f = conformal_factor(image.coords)
     chart_scale = (1.0 - float(np.dot(x, x))) / 2.0
     cols = []
     for i in range(k):
         step = np.zeros(k)
-        step[i] = h * chart_scale
+        step[i] = FD_STEP * chart_scale
         fp = _solve_barycenter(pushed, _exp_chart(x, step), cfg).location
         fm = _solve_barycenter(pushed, _exp_chart(x, -step), cfg).location
         diff = _log_chart(image.coords, fp.coords) - _log_chart(image.coords, fm.coords)
-        cols.append(lam_f * diff / (2.0 * h))
+        cols.append(lam_f * diff / (2.0 * FD_STEP))
     return np.column_stack(cols)
 
 
 def jacobian(rho: Representation | None, D, family: VisualFamily, x: HPoint,
              method: str = "implicit", cfg: SolverConfig | None = None,
-             h: float = FD_STEP_DEFAULT,
              pair: OperatorPair | None = None) -> JacobianResult:
     """Differential of the natural map in orthonormal frames, plus Jac_k.
 
@@ -509,7 +468,7 @@ def jacobian(rho: Representation | None, D, family: VisualFamily, x: HPoint,
         a = busemann_gradients_frame(xc, pushed.nodes)
         DF = (k - 1) * np.linalg.solve(pair.K, np.einsum("i,ij,il->jl", w, b, a))
     else:
-        DF = _finite_difference_DF(pushed, xc, image, cfg, h)
+        DF = _finite_difference_DF(pushed, xc, image, cfg)
         method = "finite-difference"
     sv = np.linalg.svd(DF, compute_uv=False)
     return JacobianResult(DF, float(np.prod(sv[:k])), method, kmin, fell_back=fell_back)
@@ -526,8 +485,9 @@ class BoundReport:
 
 
 def jacobian_bound_check(pair: OperatorPair, jac: JacobianResult,
-                         k: int, m: int, tol: float = 1e-3) -> BoundReport:
-    """Check Jac_k <= (k-1)^k / k^(k/2) * sqrt(det H^V) / det((I-H)^V).
+                         k: int, m: int) -> BoundReport:
+    """Check Jac_k <= (k-1)^k / k^(k/2) * sqrt(det H^V) / det((I-H)^V),
+    passed within ``BOUND_TOL``.
 
     For k = m the restriction is the whole space and for k = 3 the constant
     equals (4/3)^(3/2), tying the bound to sqrt(psi(H)).
@@ -547,27 +507,7 @@ def jacobian_bound_check(pair: OperatorPair, jac: JacobianResult,
     if k == m == 3:
         psi_err = abs(bound - (4.0 / 3.0) ** 1.5 * np.sqrt(spd.psi(pair.H)))
     return BoundReport(jac.jac_k, float(bound), float(bound - jac.jac_k),
-                       psi_err, restricted, bool(jac.jac_k <= bound + tol))
-
-
-def stationarity_residual(pushed: PushedFamily, x: np.ndarray,
-                          image: HPoint) -> float:
-    """Norm of the integrated Busemann differential at the computed image."""
-    w = pushed.weights_at(x)
-    b = busemann_gradients_frame(image.coords, pushed.images)
-    return float(np.linalg.norm(w @ b))
-
-
-def equivariance_deviation(rho: Representation, D, family: VisualFamily,
-                           x: HPoint, letter: str,
-                           source_action: Isometry,
-                           cfg: SolverConfig | None = None) -> float:
-    """d(F(gamma x), rho(gamma) F(x)) for one generator gamma."""
-    pushed = D if isinstance(D, PushedFamily) else PushedFamily(D, family)
-    fx = natural_map(rho, pushed, family, x, cfg)
-    gx = source_action.apply(x)
-    return distance(natural_map(rho, pushed, family, gx, cfg),
-                    rho.evaluate(letter).apply(fx))
+                       psi_err, restricted, bool(jac.jac_k <= bound + BOUND_TOL))
 
 
 # ---------------------------------------------------------------------------

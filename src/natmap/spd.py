@@ -38,16 +38,9 @@ class TraceOneSPD:
         if np.min(np.linalg.eigvalsh(m)) <= 0.0:
             raise ValueError("matrix must be positive definite")
 
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
     @staticmethod
     def isotropic(k: int) -> "TraceOneSPD":
         return TraceOneSPD(np.eye(k) / k)
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -266,10 +259,12 @@ class ConverseReport:
 
 # absolute slack for the float evaluation of psi at its maximum
 _PSI_FLOAT_SLOP = 5e-16
+# spacing of the eigenvalue grid that certifies the converse for k = 3
+CONVERSE_GRID_STEP = 1e-3
 
 
 def quantitative_converse(k: int, eps: float, trials: int,
-                          seed: int = 0, grid_step: float = 1e-3) -> ConverseReport:
+                          seed: int = 0) -> ConverseReport:
     """Largest distance from I/k on the level set psi >= max (1 - eps).
 
     Rejection-samples near I/k (heavy-tailed local perturbations) plus a
@@ -302,8 +297,9 @@ def quantitative_converse(k: int, eps: float, trials: int,
             dist = np.linalg.norm(eigs[ok] - 1.0 / k, axis=1)
             delta = max(delta, float(dist.max()))
         done += m
-    grid_delta = _grid_levelset_radius(k, level, grid_step) if k == 3 else float("nan")
-    return ConverseReport(k, eps, trials, delta, grid_delta, grid_step)
+    step = CONVERSE_GRID_STEP
+    grid_delta = _grid_levelset_radius(k, level, step) if k == 3 else float("nan")
+    return ConverseReport(k, eps, trials, delta, grid_delta, step)
 
 
 def _grid_levelset_radius(k: int, level: float, step: float) -> float:

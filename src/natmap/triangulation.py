@@ -14,7 +14,6 @@ built-in instance; its face pairings are validated by the test suite
 from __future__ import annotations
 
 import cmath
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,28 +168,6 @@ class IdealTriangulation:
                 out[e, t, _SLOT_OF_PAIR[frozenset({i, j})]] += 1
         return out
 
-    def validate(self) -> None:
-        """Euler-count sanity for a one-cusped triangulation: edges = tets."""
-        if len(self.edge_classes) != self.num_tetrahedra:
-            raise ValueError("edge count does not match a one-cusped triangulation")
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "num_tetrahedra": self.num_tetrahedra,
-            "gluings": [[list(k), [v[0], v[1], list(v[2])]]
-                        for k, v in sorted(self.gluings.items())],
-            "cusp_rows": [[list(map(int, row.ravel()))] for row in
-                          (np.asarray(r) for r in self.cusp_rows)],
-            "name": self.name,
-        })
-
-    @staticmethod
-    def from_json(text: str) -> "IdealTriangulation":
-        data = json.loads(text)
-        gl = {tuple(k): (v[0], v[1], tuple(v[2])) for k, v in data["gluings"]}
-        rows = tuple(np.asarray(r, dtype=int).reshape(-1, 3) for (r,) in data["cusp_rows"])
-        return IdealTriangulation(data["num_tetrahedra"], gl, rows, data.get("name", ""))
-
 
 def _edge_classes(tri: IdealTriangulation) -> list[list[tuple[int, int, int]]]:
     edges = [(t, i, j) for t in range(tri.num_tetrahedra)
@@ -237,10 +214,6 @@ class ShapeVector:
         object.__setattr__(self, "z", z)
         if np.any(z == 0) or np.any(z == 1):
             raise ValueError("shape parameter at a pole")
-
-    @property
-    def is_geometric(self) -> bool:
-        return bool(np.all(np.imag(self.z) > 0.0))
 
 
 def _shape_array(shapes) -> np.ndarray:
@@ -310,12 +283,6 @@ def _normalize_det(M: np.ndarray) -> np.ndarray:
     if det == 0:
         raise DevelopingFailureError("degenerate Mobius transformation")
     return M / cmath.sqrt(det)
-
-
-def cross_ratio(p0: complex, p1: complex, p2: complex, p3: complex) -> complex:
-    """cr with cr(0, inf, 1, z) = z; the developed edge (p0, p1) parameter."""
-    M = _mobius_to_zero_inf_one(p0, p1, p2)
-    return mobius_apply(M, p3)
 
 
 _NORMALIZED = (0.0 + 0.0j, cmath.inf, 1.0 + 0.0j)
@@ -572,17 +539,6 @@ def holonomy_from_shapes(tri: IdealTriangulation, shapes,
     return Representation(gens, words, 3)
 
 
-def peripheral_eigenvalue_sq(rep: Representation, word: str) -> complex:
-    """Squared dominant eigenvalue of a peripheral word (1 when parabolic)."""
-    g = rep.evaluate(word)
-    if g.spin is None:
-        raise ValueError("needs a spin representative")
-    A = g.spin / cmath.sqrt(complex(np.linalg.det(g.spin)))
-    tr_half = complex(np.trace(A)) / 2.0
-    lam = tr_half + cmath.sqrt(tr_half * tr_half - 1.0)
-    return lam * lam
-
-
 # ---------------------------------------------------------------------------
 # the gluing variety of the figure-eight: sampling and paths
 # ---------------------------------------------------------------------------
@@ -596,16 +552,16 @@ def _fig8_partner(z: complex, branch: int = 0) -> complex:
     return roots[branch]
 
 
-def solve_edge_equations(tri: IdealTriangulation, start, pinned: int = 0):
-    """Newton-solve the log edge equations with one shape pinned, to a
-    residual below 1e-12 within 80 steps.
+def solve_edge_equations(tri: IdealTriangulation, start):
+    """Newton-solve the log edge equations with the first shape pinned, to
+    a residual below 1e-12 within 80 steps.
 
     The edge rows are redundant (their sum is a multiple of the constant
     rows), so one shape coordinate stays fixed and the remaining ones are
     corrected by a least-squares Newton step.
     """
     z = np.asarray(start, dtype=complex).copy()
-    free = [i for i in range(z.size) if i != pinned]
+    free = list(range(1, z.size))
     expo = tri.edge_exponents()
     for _ in range(80):
         logs = np.array([slot_logs(zi) for zi in z])
@@ -637,28 +593,23 @@ class PathStep:
     min_pole_distance: float
 
 
-def deformation_path(tri: IdealTriangulation, direction: complex = None,
-                     steps: int = 50, t_end: float = 0.9905,
-                     t_start: float = 0.02,
-                     include_complete: bool = True) -> list[PathStep]:
+def deformation_path(tri: IdealTriangulation, steps: int = 50,
+                     t_end: float = 0.9905) -> list[PathStep]:
     """Continuation along the gluing variety toward a shape degeneration.
 
-    The first shape moves on the straight segment from the complete value
-    toward ``direction`` (default: the pole at 1); the remaining shapes are
-    corrected by Newton at every step, with step halving on stalls.  Along
-    the default path the partner shape runs to 0, so the end of the path
-    approaches an ideal point of the variety.
+    The complete structure at t = 0 comes first, then ``steps`` values of t
+    from 0.02 to ``t_end``.  The first shape moves on the straight segment
+    from the complete value toward the pole at 1; the remaining shapes are
+    corrected by Newton at every step, with step halving on stalls.  The
+    partner shape runs to 0, so the end of the path approaches an ideal
+    point of the variety.
     """
     if tri.name != "figure-eight":
         raise ValueError("built-in paths exist for the figure-eight only")
-    target = 1.0 + 0.0j if direction is None else complex(direction)
     z0 = FIG8_COMPLETE_SHAPE
-    out = []
-    if include_complete:
-        shapes0 = np.array([z0, z0])
-        out.append(_path_step(tri, 0.0, shapes0))
     current = np.array([z0, z0])
-    ts = np.linspace(t_start, t_end, steps)
+    out = [_path_step(tri, 0.0, current.copy())]
+    ts = np.linspace(0.02, t_end, steps)
     prev_t = 0.0
     for t in ts:
         got = None
@@ -668,8 +619,8 @@ def deformation_path(tri: IdealTriangulation, direction: complex = None,
                 trial = current.copy()
                 for j in range(1, pieces + 1):
                     tt = sub_from + (sub_to - sub_from) * j / pieces
-                    trial[0] = z0 + tt * (target - z0)
-                    trial, _ = solve_edge_equations(tri, trial, pinned=0)
+                    trial[0] = z0 + tt * (1.0 - z0)     # toward the pole at 1
+                    trial, _ = solve_edge_equations(tri, trial)
                 got = trial
                 break
             except ContinuationStallError:

@@ -5,6 +5,7 @@ explicit tail bounds, brute-force quadrature, finite differences, closed
 gamma-function formulas, exact rational arithmetic.
 """
 
+import cmath
 from fractions import Fraction
 from math import gamma, sqrt
 
@@ -132,3 +133,32 @@ def ring_measure(weights, directions, cap: float, n_ring: int = 16):
         all_p.append(pts)
         all_w.append(np.full(n_ring, w / n_ring))
     return atomic_measure(np.concatenate(all_w), np.concatenate(all_p))
+
+
+def enumerate_reduced_words(n_generators: int, max_length: int):
+    """Freely reduced words over the first n generators, shortest first."""
+    letters = [c for i in range(n_generators)
+               for c in ("abcdefgh"[i], "ABCDEFGH"[i])]
+    frontier = [""]
+    for _ in range(max_length):
+        new = []
+        for w in frontier:
+            for ch in letters:
+                if w and w[-1] == ch.swapcase():
+                    continue
+                new.append(w + ch)
+        yield from new
+        frontier = new
+
+
+def cross_ratio(a: complex, b: complex, c: complex, d: complex) -> complex:
+    """(d-a)(c-b) / ((c-a)(d-b)), so that cr(0, inf, 1, z) = z.
+
+    Each point sits in one factor above and one below the line, so an
+    infinite point is taken to the limit by dropping both its factors.
+    """
+    out = 1.0 + 0.0j
+    for p, q, power in ((d, a, 1), (c, b, 1), (c, a, -1), (d, b, -1)):
+        if cmath.isfinite(p) and cmath.isfinite(q):
+            out *= (p - q) ** power
+    return out

@@ -29,3 +29,18 @@ def random_sphere_point(rng, k=3):
     from natmap.geometry import BoundaryPoint
     d = rng.standard_normal(k)
     return BoundaryPoint(d / np.linalg.norm(d))
+
+
+def visual_measure(family, x):
+    """The visual measure seen from the ball point x, on the family's nodes."""
+    from natmap.natural_map import PushedFamily, identity_boundary_map
+    return PushedFamily(identity_boundary_map(family.dimension), family).measure_at(x.coords)
+
+
+def boost(k, length):
+    """Translation of H^k by ``length`` along the first coordinate axis."""
+    from natmap.geometry import Isometry
+    g = np.eye(k + 1)
+    g[0, 0] = g[1, 1] = np.cosh(length)
+    g[0, 1] = g[1, 0] = np.sinh(length)
+    return Isometry(g)

@@ -44,6 +44,36 @@ class TestSubcommands:
                     "--out", str(tmp_path)]) == 2
         assert not any(tmp_path.iterdir())
 
+    def test_rigidity_report_node_cap_exit_2(self, tmp_path):
+        # once a ValueError traceback (exit 1) after the path was built
+        assert run(["rigidity-report", "--nodes", "20000", "--steps", "2",
+                    "--out", str(tmp_path)]) == 2
+        assert not any(tmp_path.iterdir())
+
+    # --nodes 0 once ran an 8-node rule and reported PASS; volume-path
+    # --steps 0 failed on an empty sequence
+    @pytest.mark.parametrize("command, flag", [
+        ("psi-scan", "--samples"), ("psi-converse", "--trials"),
+        ("natural-map-suite", "--nodes"), ("volume-path", "--steps"),
+        ("rigidity-report", "--steps"), ("rigidity-report", "--nodes")])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_count_below_one_exit_2(self, tmp_path, command, flag, value):
+        with pytest.raises(SystemExit) as err:
+            run([command, flag, value, "--out", str(tmp_path)])
+        assert err.value.code == 2
+        assert not any(tmp_path.iterdir())
+
+    # a config file once bypassed the flag types: steps 0 failed on an
+    # empty sequence, samples 0 on an empty reduction
+    @pytest.mark.parametrize("command, key", [
+        ("volume-path", "steps"), ("psi-scan", "samples")])
+    def test_config_count_below_one_exit_2(self, tmp_path, command, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 0}))
+        out = tmp_path / "out"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_volume_path(self, tmp_path):
         assert run(["volume-path", "--steps", "12", "--out", str(tmp_path)]) == 0
         csv = (tmp_path / "volume-path.csv").read_text().splitlines()

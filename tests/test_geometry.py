@@ -3,10 +3,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from natmap import geometry as geo
-from conftest import random_ball_point, random_sphere_point
+from natmap.barycenter import _hess_frame
+from natmap.measures import atomic_measure
+from conftest import boost, random_ball_point, random_sphere_point
 import _oracles as oracles
 
 O3 = geo.HPoint.origin(3)
+
+
+def busemann(x, theta):
+    return float(geo.busemann_many(x.coords, theta.direction[None, :])[0])
+
+
+def busemann_frame_gradient(x, theta):
+    return geo.busemann_gradients_frame(x.coords, theta.direction[None, :])[0]
+
+
+def chart_step(x, frame_vector):
+    """Chart components of a frame vector at x."""
+    return (1.0 - np.dot(x.coords, x.coords)) / 2.0 * frame_vector
 
 
 class TestDistance:
@@ -43,12 +58,12 @@ class TestBusemann:
     def test_normalized_at_origin(self, rng):
         # zero up to the rounding of the unit normalization itself
         for _ in range(5):
-            assert abs(geo.busemann(O3, random_sphere_point(rng))) < 1e-15
+            assert abs(busemann(O3, random_sphere_point(rng))) < 1e-15
 
     def test_on_ray_toward_equals_minus_distance(self):
         th = geo.BoundaryPoint(np.array([0.0, 1.0, 0.0]))
         x = geo.HPoint(0.5 * th.direction)
-        val = geo.busemann(x, th)
+        val = busemann(x, th)
         assert val == pytest.approx(np.log(1.0 / 3.0), abs=1e-14)
         # limit-definition oracle at t = 20
         assert val == pytest.approx(
@@ -57,8 +72,8 @@ class TestBusemann:
     def test_on_opposite_ray(self):
         th = geo.BoundaryPoint(np.array([0.0, 1.0, 0.0]))
         x = geo.HPoint(-0.5 * th.direction)
-        assert geo.busemann(x, th) == pytest.approx(np.log(3.0), abs=1e-14)
-        assert geo.busemann(x, th) == pytest.approx(
+        assert busemann(x, th) == pytest.approx(np.log(3.0), abs=1e-14)
+        assert busemann(x, th) == pytest.approx(
             oracles.busemann_limit_value(x.coords, th.direction, 20.0), abs=1e-7)
 
     @settings(max_examples=30, deadline=None)
@@ -68,23 +83,21 @@ class TestBusemann:
         x = random_ball_point(r, max_radius=2.5)
         y = random_ball_point(r, max_radius=2.5)
         th = random_sphere_point(r)
-        assert abs(geo.busemann(x, th) - geo.busemann(y, th)) <= \
+        assert abs(busemann(x, th) - busemann(y, th)) <= \
             geo.distance(x, y) + 1e-12
 
 
 class TestBusemannGradient:
     def test_unit_norm(self, rng):
         for _ in range(20):
-            v = geo.busemann_gradient(random_ball_point(rng), random_sphere_point(rng))
-            assert v.riemannian_norm == pytest.approx(1.0, abs=1e-12)
+            b = busemann_frame_gradient(random_ball_point(rng), random_sphere_point(rng))
+            assert np.linalg.norm(b) == pytest.approx(1.0, abs=1e-12)
 
     def test_points_away_on_ray(self):
         th = geo.BoundaryPoint(np.array([1.0, 0.0, 0.0]))
         x = geo.HPoint(np.array([0.3, 0.0, 0.0]))
-        g = geo.busemann_gradient(x, th)
         # unit tangent toward theta is +e1 in the frame; gradient is -e1
-        frame = g.frame_components()
-        assert np.allclose(frame, [-1.0, 0.0, 0.0], atol=1e-13)
+        assert np.allclose(busemann_frame_gradient(x, th), [-1.0, 0.0, 0.0], atol=1e-13)
 
     def test_finite_difference_oracle(self, rng):
         h = 1e-5
@@ -92,63 +105,56 @@ class TestBusemannGradient:
             x = random_ball_point(rng)
             th = random_sphere_point(rng)
             u = rng.standard_normal(3)
-            u /= geo.conformal_factor(x.coords) * np.linalg.norm(u)  # unit
-            fd = (geo.busemann(geo.exp_map(x, geo.TangentVector(x, h * u)), th)
-                  - geo.busemann(geo.exp_map(x, geo.TangentVector(x, -h * u)), th)) / (2 * h)
-            inner = geo.riemannian_inner(
-                geo.busemann_gradient(x, th), geo.TangentVector(x, u))
-            assert fd == pytest.approx(inner, abs=1e-6)
+            u /= np.linalg.norm(u)
+            step = h * chart_step(x, u)
+            fd = (busemann(geo.HPoint(x.coords + step), th)
+                  - busemann(geo.HPoint(x.coords - step), th)) / (2 * h)
+            assert fd == pytest.approx(np.dot(busemann_frame_gradient(x, th), u), abs=1e-6)
 
 
 class TestBusemannHessian:
+    """The Hessian of B(., theta) is that of phi for the Dirac mass at theta."""
+
     def test_trace_and_kernel(self, rng):
         for _ in range(10):
             x, th = random_ball_point(rng), random_sphere_point(rng)
-            H = geo.busemann_hessian(x, th)
+            H = _hess_frame(atomic_measure([1.0], [th.direction]), x.coords)
             assert np.trace(H) == pytest.approx(2.0, abs=1e-13)
-            b = geo.busemann_gradient(x, th).frame_components()
+            b = busemann_frame_gradient(x, th)
             assert np.max(np.abs(H @ b)) < 1e-12
 
     def test_identity_minus_outer_product(self, rng):
         for _ in range(10):
             x, th = random_ball_point(rng), random_sphere_point(rng)
-            b = geo.busemann_gradient(x, th).frame_components()
-            lhs = geo.busemann_hessian(x, th)
+            b = busemann_frame_gradient(x, th)
+            lhs = _hess_frame(atomic_measure([1.0], [th.direction]), x.coords)
             assert np.max(np.abs(lhs - (np.eye(3) - np.outer(b, b)))) < 1e-8
 
     def test_second_difference_orthogonal_geodesic(self, rng):
         h = 1e-4
         for _ in range(5):
             x, th = random_ball_point(rng), random_sphere_point(rng)
-            b = geo.busemann_gradient(x, th).frame_components()
+            b = busemann_frame_gradient(x, th)
             # frame vector orthogonal to the gradient
             v = rng.standard_normal(3)
             v -= np.dot(v, b) * b
             v /= np.linalg.norm(v)
-            chart = (1.0 - np.dot(x.coords, x.coords)) / 2.0 * v
-            plus = geo.busemann(geo.exp_map(x, geo.TangentVector(x, h * chart)), th)
-            minus = geo.busemann(geo.exp_map(x, geo.TangentVector(x, -h * chart)), th)
-            second = (plus - 2.0 * geo.busemann(x, th) + minus) / h**2
+            chart = chart_step(x, v)
+            plus = busemann(geo.HPoint(geo._exp_chart(x.coords, h * chart)), th)
+            minus = busemann(geo.HPoint(geo._exp_chart(x.coords, -h * chart)), th)
+            second = (plus - 2.0 * busemann(x, th) + minus) / h**2
             assert second == pytest.approx(1.0, abs=1e-5)
 
 
 class TestExpLogTransport:
     def test_exp_of_zero(self):
-        assert np.array_equal(
-            geo.exp_map(O3, geo.TangentVector(O3, np.zeros(3))).coords, O3.coords)
+        assert np.array_equal(geo._exp_chart(O3.coords, np.zeros(3)), O3.coords)
 
     def test_round_trip(self, rng):
         for _ in range(20):
             x, y = random_ball_point(rng, max_radius=2.0), random_ball_point(rng, max_radius=2.0)
-            back = geo.exp_map(x, geo.log_map(x, y))
-            assert np.max(np.abs(back.coords - y.coords)) < 1e-9
-
-    def test_transport_is_isometric(self, rng):
-        for _ in range(10):
-            x, y = random_ball_point(rng), random_ball_point(rng)
-            v = geo.TangentVector(x, 0.05 * rng.standard_normal(3))
-            w = geo.parallel_transport(x, y, v)
-            assert w.riemannian_norm == pytest.approx(v.riemannian_norm, abs=1e-12)
+            back = geo._exp_chart(x.coords, geo._log_chart(x.coords, y.coords))
+            assert np.max(np.abs(back - y.coords)) < 1e-9
 
 
 class TestIsometries:
@@ -171,7 +177,7 @@ class TestIsometries:
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_loxodromic_fixes_two_points(self, rng):
-        g0 = geo.hyperbolic_translation(3, 1.2)
+        g0 = boost(3, 1.2)
         h = geo.random_isometry(rng, 3)
         g = h @ g0 @ h.inverse()
         att, repl = geo.loxodromic_fixed_points(g)
@@ -197,22 +203,17 @@ class TestModelConversions:
         assert X[0] * U[0] - np.dot(X[1:], U[1:]) == pytest.approx(0.0, abs=1e-12)
         assert np.max(np.abs(geo.tangent_to_ball(X, U) - u)) < 1e-14
 
-    def test_orientation_sign(self):
-        assert geo.Isometry.identity(3).orientation == 1
-        refl = np.diag([1.0, -1.0, 1.0, 1.0])
-        assert geo.Isometry(refl).orientation == -1
-
 
 class TestTranslationLength:
     def test_identity(self):
         assert geo.translation_length(geo.Isometry.identity(3)) == 0.0
 
     def test_axis_translation(self):
-        assert geo.translation_length(geo.hyperbolic_translation(3, 2.0)) == \
+        assert geo.translation_length(boost(3, 2.0)) == \
             pytest.approx(2.0, abs=1e-12)
 
     def test_conjugation_invariance(self, rng):
-        g = geo.hyperbolic_translation(3, 1.3)
+        g = boost(3, 1.3)
         for _ in range(5):
             h = geo.random_isometry(rng, 3)
             assert geo.translation_length(h @ g @ h.inverse()) == \
@@ -228,16 +229,12 @@ class TestTranslationLength:
 
     def test_parabolic_classification(self):
         par = geo.psl2_to_lorentz(np.array([[1, 1], [0, 1]], dtype=complex))
-        assert geo.classify(par) == "parabolic"
         assert geo.translation_length(par) == 0.0
         # same matrix without the spin shortcut
-        bare = geo.Isometry(par.lorentz)
-        assert geo.classify(bare) == "parabolic"
-        assert geo.translation_length(bare) == 0.0
+        assert geo.translation_length(geo.Isometry(par.lorentz)) == 0.0
 
     def test_elliptic(self):
         rot = geo.psl2_to_lorentz(np.diag([np.exp(0.4j), np.exp(-0.4j)]))
-        assert geo.classify(rot) == "elliptic"
         assert geo.translation_length(rot) == 0.0
 
 
@@ -254,12 +251,31 @@ class TestSpinModel:
 
     def test_sphere_chart_round_trip(self, rng):
         for _ in range(10):
-            th = random_sphere_point(rng)
-            back = geo.sphere_from_complex(geo.complex_from_sphere(th))
-            assert np.max(np.abs(back.direction - th.direction)) < 1e-12
+            d = random_sphere_point(rng).direction
+            # inverse stereographic projection from the north pole
+            back = geo.sphere_from_complex(complex(d[0], -d[1]) / (1.0 - d[2]))
+            assert np.max(np.abs(back.direction - d)) < 1e-12
+        assert np.array_equal(geo.sphere_from_complex(complex("inf")).direction, [0, 0, 1])
 
     def test_spin_length_matches_lorentz(self):
         g = geo.psl2_to_lorentz(np.diag([2.0 + 0j, 0.5 + 0j]))
         assert geo.translation_length(g) == pytest.approx(2 * np.log(2), abs=1e-12)
         assert geo.translation_length(geo.Isometry(g.lorentz)) == \
             pytest.approx(2 * np.log(2), abs=1e-9)
+
+
+class TestNonFinitePoints:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.integers(0, 4),
+           st.sampled_from([np.nan, np.inf, -np.inf]), st.floats(-0.5, 0.5))
+    def test_rejected(self, k, slot, bad, fill):
+        # NaN compares False with everything, so a check written as
+        # "norm >= 1 raises" once let it through
+        coords = np.full(k, fill / np.sqrt(k))
+        coords[slot % k] = bad
+        with pytest.raises(ValueError):
+            geo.HPoint(coords)
+        direction = np.eye(k)[(slot + 1) % k]
+        direction[slot % k] = bad
+        with pytest.raises(ValueError):
+            geo.BoundaryPoint(direction)

@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from natmap import geometry as geo
+from natmap import measures as ms
 from natmap import natural_map as nm
 from natmap import triangulation as tr
-from conftest import random_ball_point
+from conftest import boost, random_ball_point
+import _oracles as oracles
 
 O3 = geo.HPoint.origin(3)
+# the property tests' family and maps, built once for all their examples
+FAM = ms.VisualFamily(3, 2000)
+IDENTITY = nm.PushedFamily(nm.identity_boundary_map(3), FAM)
+GEODESIC_M5 = nm.PushedFamily(nm.TotallyGeodesicBoundaryMap(3, 5), FAM)
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +37,7 @@ class TestRepresentation:
         for r in holonomy.relators:
             assert holonomy.relator_residual(r) <= 1e-8
         with pytest.raises(ValueError):
-            nm.Representation((geo.hyperbolic_translation(3, 1.0),), ("a",), 3)
+            nm.Representation((boost(3, 1.0),), ("a",), 3)
 
     def test_word_evaluation(self, holonomy):
         a = holonomy.evaluate("a")
@@ -38,26 +45,14 @@ class TestRepresentation:
         prod = (a @ ainv).lorentz
         assert np.max(np.abs(prod - np.eye(4))) < 1e-12
 
-    def test_conjugate(self, holonomy, rng):
-        g = geo.random_isometry(rng, 3, 0.5, 0.5)
-        conj = holonomy.conjugate(g)
-        w = "abAB"
-        assert geo.translation_length(conj.evaluate(w)) == pytest.approx(
-            geo.translation_length(holonomy.evaluate(w)), abs=1e-9)
-
     def test_elementary_detection(self):
         # two powers of one boost share an axis
-        g = geo.hyperbolic_translation(3, 0.7)
+        g = boost(3, 0.7)
         rep = nm.Representation((g, g @ g), (), 3)
         assert rep.is_elementary()
 
     def test_holonomy_not_elementary(self, holonomy):
         assert not holonomy.is_elementary()
-
-    def test_embedding(self, holonomy):
-        emb = nm.embed_representation(holonomy, 5)
-        assert emb.target_dim == 5
-        assert emb.relator_residual(emb.relators[0]) <= 1e-8
 
 
 class TestBoundaryMaps:
@@ -89,14 +84,14 @@ class TestBoundaryMaps:
         assert D.approximate
 
 
-def _orbit_table_per_word(source, target, max_word_length, length_tol=1e-6):
+def _orbit_table_per_word(source, target, max_word_length):
     """The orbit table one reduced word at a time, from the scalar
     translation length and fixed points of each evaluated word."""
     src, tgt = [], []
-    for w in nm.enumerate_reduced_words(len(source.generators), max_word_length):
+    for w in oracles.enumerate_reduced_words(len(source.generators), max_word_length):
         gs, gt = source.evaluate(w), target.evaluate(w)
-        if (geo.translation_length(gs) > length_tol
-                and geo.translation_length(gt) > length_tol):
+        if (geo.translation_length(gs) > nm.ORBIT_LENGTH_TOL
+                and geo.translation_length(gt) > nm.ORBIT_LENGTH_TOL):
             src.append(geo.loxodromic_fixed_points(gs)[0].direction)
             tgt.append(geo.loxodromic_fixed_points(gt)[0].direction)
     return np.asarray(src), np.asarray(tgt)
@@ -107,6 +102,12 @@ def _uncached(rep):
     return nm.Representation(rep.generators, rep.relators, rep.source_dim)
 
 
+def stationarity_residual(pushed, x, image):
+    """Norm of the integrated Busemann differential at the image of x."""
+    b = geo.busemann_gradients_frame(image.coords, pushed.images)
+    return float(np.linalg.norm(pushed.weights_at(x.coords) @ b))
+
+
 class TestOrbitTable:
     def test_word_order_matches_enumeration(self):
         words, level = [], [""]
@@ -114,7 +115,7 @@ class TestOrbitTable:
             prefixes = [""] * letter.size if parent is None else [level[p] for p in parent]
             level = [w + "aAbB"[c] for w, c in zip(prefixes, letter)]
             words += level
-        assert words == list(nm.enumerate_reduced_words(2, 6))
+        assert words == list(oracles.enumerate_reduced_words(2, 6))
 
     # the last step of the 50-step path is the worst conditioned; with the
     # complete holonomy as target, the target's parabolic words drop out
@@ -148,24 +149,21 @@ class TestOrbitTable:
         assert np.array_equal(D.table_target, full)
 
     def test_source_cache_key_and_aliasing(self, fig8_path50):
-        # deformed source: its peripheral words have translation lengths
-        # between 1e-6 and 1e-3, so the two tolerances give different tables
         source = _uncached(fig8_path50[1].representation)
         target = fig8_path50[50].representation
         sizes = []
-        for length, tol in [(6, 1e-6), (8, 1e-6), (8, 1e-3), (6, 1e-6), (8, 1e-6)]:
+        for length in (6, 8, 6, 8):
             D = nm.OrbitBoundaryMap.build(source, target, max_word_length=length,
-                                          min_table=1, length_tol=tol)
+                                          min_table=1)
             ref = nm.OrbitBoundaryMap.build(_uncached(source), target,
-                                            max_word_length=length,
-                                            min_table=1, length_tol=tol)
+                                            max_word_length=length, min_table=1)
             assert np.array_equal(D.table_source, ref.table_source)
             assert np.array_equal(D.table_target, ref.table_target)
             sizes.append(D.table_source.shape[0])
             # writing into a returned table must not reach the next build
             D.table_source[:] = 0.0
             D.table_target[:] = 0.0
-        assert sizes[0] == sizes[3] < sizes[2] < sizes[1] == sizes[4]
+        assert sizes[0] == sizes[2] < sizes[1] == sizes[3]
         for words, lox, fixed in source._orbit_sources.values():
             assert not lox.flags.writeable and not fixed.flags.writeable
             assert not any(a.flags.writeable for level in words for a in level
@@ -183,7 +181,9 @@ class TestOrbitTable:
         assert np.any(np.all(src == [0.0, 0.0, 1.0], axis=1))
 
     def test_generators_without_spin_rejected(self, holonomy):
-        lorentz_only = nm.embed_representation(holonomy, 3)
+        lorentz_only = nm.Representation(
+            tuple(geo.Isometry(g.lorentz) for g in holonomy.generators),
+            holonomy.relators, 3)
         with pytest.raises(ValueError, match="spin"):
             nm.OrbitBoundaryMap.build(holonomy, lorentz_only, min_table=1)
 
@@ -221,7 +221,7 @@ class TestNaturalMapExactCases:
             assert np.linalg.norm(F5.coords[:3] - F3.coords) <= 5e-4
 
     def test_elementary_rejected(self, fam2000):
-        g = geo.hyperbolic_translation(3, 0.7)
+        g = boost(3, 0.7)
         rep = nm.Representation((g, g @ g), (), 3)
         with pytest.raises(nm.ElementaryRepresentationError):
             nm.natural_map(rep, nm.identity_boundary_map(3), fam2000, O3)
@@ -255,7 +255,7 @@ class TestOperators:
         D = nm.OrbitBoundaryMap.build(holonomy, target, min_table=5000)
         pair = nm.operators_at(target, nm.PushedFamily(D, fam2000), fam2000,
                                geo.HPoint(np.array([0.15, 0.1, -0.2])))
-        assert pair.trace_error <= 1e-6
+        assert abs(np.trace(pair.H) - 1.0) <= 1e-6
         assert np.trace(pair.H_prime) == pytest.approx(1.0, abs=1e-6)
         assert np.max(np.abs(pair.K - (np.eye(3) - pair.H))) <= 1e-8
 
@@ -264,7 +264,7 @@ class TestOperators:
         for _ in range(5):
             x = random_ball_point(rng)
             F = nm.natural_map(None, pushed, fam2000, x)
-            assert nm.stationarity_residual(pushed, x.coords, F) <= 1e-8
+            assert stationarity_residual(pushed, x, F) <= 1e-8
 
 
 class TestJacobian:
@@ -355,12 +355,13 @@ class TestEquivarianceAndDiagnostics:
         # with the exact identity boundary map the deviation stays within
         # the solver-plus-quadrature budget
         budget = 2 * (1e-10 + 5e-4)
+        pushed = nm.PushedFamily(nm.identity_boundary_map(3), fam2000)
         x = geo.HPoint(np.array([0.05, 0.1, -0.05]))
+        fx = nm.natural_map(holonomy, pushed, fam2000, x)
         for letter in "ab":
-            dev = nm.equivariance_deviation(
-                holonomy, nm.identity_boundary_map(3), fam2000, x, letter,
-                holonomy.evaluate(letter))
-            assert dev <= budget
+            g = holonomy.evaluate(letter)
+            assert geo.distance(nm.natural_map(holonomy, pushed, fam2000, g.apply(x)),
+                                g.apply(fx)) <= budget
 
     def test_constant_sequence_diagnostics(self, fam2000, holonomy):
         D = nm.identity_boundary_map(3)
@@ -376,3 +377,45 @@ class TestEquivarianceAndDiagnostics:
             assert r.translation_lengths == rows[0].translation_lengths
         csv = nm.diagnostics_to_csv(rows)
         assert csv.splitlines()[0].startswith("parameter,probe_index,jac")
+
+
+def _probe(seed):
+    """A probe within hyperbolic radius 1 and a random isometry."""
+    rng = np.random.default_rng(seed)
+    return random_ball_point(rng, max_radius=1.0), geo.random_isometry(rng, 3, 0.3, 0.5)
+
+
+class TestInvariants:
+    """The paper's identities at random probes, on exact boundary maps."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_trace_one_and_stationarity(self, seed):
+        x, g = _probe(seed)
+        for pushed in (IDENTITY, nm.PushedFamily(nm.MobiusBoundaryMap(g), FAM),
+                       GEODESIC_M5):
+            pair = nm.operators_at(None, pushed, FAM, x)
+            assert abs(np.trace(pair.H) - 1.0) <= 1e-12
+            assert stationarity_residual(pushed, x, pair.image) <= 1e-9
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_jacobian_bound(self, seed):
+        x, g = _probe(seed)
+        for pushed in (IDENTITY, nm.PushedFamily(nm.MobiusBoundaryMap(g), FAM),
+                       GEODESIC_M5):
+            pair = nm.operators_at(None, pushed, FAM, x)
+            jac = nm.jacobian(None, pushed, FAM, x, "implicit", pair=pair)
+            assert nm.jacobian_bound_check(pair, jac, 3, pushed.target_dim).passed
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_identity_map_equivariance(self, seed):
+        # F(y) is within the 5e-4 quadrature budget of y out to radius
+        # about 2, and the solver stops at gradient 1e-10; F(gx) and g F(x)
+        # differ by at most twice that
+        x, g = _probe(seed)
+        assume(geo.distance(O3, g.apply(x)) <= 1.5)
+        lhs = nm.natural_map(None, IDENTITY, FAM, g.apply(x))
+        rhs = g.apply(nm.natural_map(None, IDENTITY, FAM, x))
+        assert geo.distance(lhs, rhs) <= 2 * (1e-10 + 5e-4)

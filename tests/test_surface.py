@@ -1,0 +1,66 @@
+"""The library carries no code that only its tests reach.
+
+Every top-level function and class of ``src/natmap``, and every method,
+must be named somewhere in the code of ``src/natmap`` or ``perfbench/``,
+the benchmark's tests aside, outside its own definition: as a name, an attribute, an imported name, or
+a word of a string constant (the benchmark's tracer looks functions up by
+the names in its strings).  Dunder methods are exempt.  Code that only a
+test calls belongs in the tests, with ``_oracles`` for reference
+computations.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = ROOT / "src" / "natmap"
+USERS = (LIBRARY, ROOT / "perfbench")
+DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _names(tree: ast.AST) -> Counter:
+    """How often each identifier is named under ``tree``."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return out
+
+
+def _definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, DEFINITION):
+            yield node
+            if isinstance(node, ast.ClassDef):
+                yield from (sub for sub in node.body if isinstance(sub, DEFINITION))
+
+
+def unnamed_definitions() -> list[str]:
+    # the benchmark's own tests do not count as users
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for root in USERS for path in sorted(root.glob("*.py"))
+             if not path.name.startswith("test_")}
+    named = sum((_names(tree) for tree in trees.values()), Counter())
+    out = []
+    for path, tree in trees.items():
+        if path.parent != LIBRARY:
+            continue
+        for node in _definitions(tree):
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            if not dunder and named[node.name] <= _names(node)[node.name]:
+                out.append(f"{path.stem}.{node.name}")
+    return out
+
+
+def test_every_definition_is_named_outside_itself():
+    unnamed = unnamed_definitions()
+    assert not unnamed, (f"{len(unnamed)} definitions named nowhere in the library "
+                         f"or the benchmark: {', '.join(unnamed)}")
