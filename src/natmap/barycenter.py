@@ -71,17 +71,12 @@ def _phi_chart(beta: BoundaryMeasure, y: np.ndarray) -> float:
     return float(np.dot(beta.weights, busemann_many(y, beta.points)))
 
 
-def _grad_frame(beta: BoundaryMeasure, y: np.ndarray) -> np.ndarray:
-    """Gradient of phi at y in frame components."""
-    b = busemann_gradients_frame(y, beta.points)
-    return beta.weights @ b
-
-
-def _hess_frame(beta: BoundaryMeasure, y: np.ndarray) -> np.ndarray:
-    """Hessian of phi at y in frame components: I - H(y)."""
+def _derivatives(beta: BoundaryMeasure, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian I - H(y) of phi at y in frame components, from
+    one array of Busemann gradients."""
     b = busemann_gradients_frame(y, beta.points)
     H = np.einsum("i,ij,il->jl", beta.weights, b, b)
-    return np.eye(y.size) - H
+    return beta.weights @ b, np.eye(y.size) - H
 
 
 # ---------------------------------------------------------------------------
@@ -122,12 +117,11 @@ def barycenter(beta: BoundaryMeasure,
     degenerate = False
     val = _phi_chart(beta, y)
     for it in range(1, cfg.max_iterations + 1):
-        g = _grad_frame(beta, y)
+        g, Hf = _derivatives(beta, y)
         gnorm = float(np.linalg.norm(g))
         if gnorm <= cfg.gradient_tol:
             return BarycenterResult(HPoint(y), "interior", gnorm, it - 1,
                                     degenerate_support=degenerate)
-        Hf = _hess_frame(beta, y)
         eigmin = float(np.linalg.eigvalsh(Hf)[0])
         newton_ok = eigmin >= HESSIAN_FLOOR
         if newton_ok:
@@ -152,18 +146,20 @@ def barycenter(beta: BoundaryMeasure,
         t = 1.0
         while t > 1e-16:
             cand = _exp_chart(y, t * chart_step)
-            cand_val = _phi_chart(beta, cand)
-            if cand_val <= val + ARMIJO_SLOPE * t * slope:
+            # a trial point that rounding puts outside the ball chart is a
+            # failed step: phi is not defined there
+            if (np.dot(cand, cand) < 1.0
+                    and _phi_chart(beta, cand) <= val + ARMIJO_SLOPE * t * slope):
                 break
             t *= ARMIJO_CONTRACTION
         y = _exp_chart(y, t * chart_step)
         val = _phi_chart(beta, y)
 
-    g = _grad_frame(beta, y)
+    gnorm = float(np.linalg.norm(_derivatives(beta, y)[0]))
     raise NoConvergenceError(
         f"no convergence in {cfg.max_iterations} iterations "
-        f"(gradient norm {np.linalg.norm(g):.3e})",
-        HPoint(y), float(np.linalg.norm(g)), cfg.max_iterations)
+        f"(gradient norm {gnorm:.3e})",
+        HPoint(y), gnorm, cfg.max_iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Probability measures on the sphere at infinity.
 
-A measure is a weighted point cloud: explicit atoms, quadrature nodes of a
-fixed sphere rule, or both.  The conformal-density family of a lattice is
+A measure is a weighted point cloud: explicit atoms or the quadrature
+nodes of a fixed sphere rule.  The conformal-density family of a lattice is
 realized by reweighting fixed quadrature nodes with exp(-(k-1) B(x, .)) and
 renormalizing, so the nodes never move as the basepoint does.
 """
@@ -79,67 +79,25 @@ def sphere_quadrature(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class BoundaryMeasure:
-    """Positive probability measure on S^(k-1): atoms plus quadrature nodes."""
+    """Positive probability measure on S^(k-1): weights on unit points."""
 
-    atom_weights: np.ndarray
-    atom_points: np.ndarray
-    node_weights: np.ndarray
-    node_points: np.ndarray
+    weights: np.ndarray
+    points: np.ndarray
 
     def __post_init__(self):
-        aw = np.asarray(self.atom_weights, dtype=float).reshape(-1)
-        ap = np.asarray(self.atom_points, dtype=float)
-        nw = np.asarray(self.node_weights, dtype=float).reshape(-1)
-        npts = np.asarray(self.node_points, dtype=float)
-        if aw.size:
-            ap = ap.reshape(aw.size, -1)
-            aw, ap = _merge_exact_duplicates(aw, ap)
-        else:
-            ap = ap.reshape(0, max(ap.shape[-1] if ap.size else npts.shape[-1], 2))
-        if nw.size:
-            npts = npts.reshape(nw.size, -1)
-        else:
-            npts = npts.reshape(0, ap.shape[1])
-        for w in (aw, nw):
-            if w.size and np.min(w) <= 0:
-                raise ValueError("measure weights must be positive")
-        total = aw.sum() + nw.sum()
+        w = np.asarray(self.weights, dtype=float).reshape(-1)
+        p = np.asarray(self.points, dtype=float).reshape(w.size, -1)
+        if w.size and np.min(w) <= 0:
+            raise ValueError("measure weights must be positive")
+        total = w.sum()
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"total mass {total} is not 1")
-        object.__setattr__(self, "atom_weights", aw)
-        object.__setattr__(self, "atom_points", ap)
-        object.__setattr__(self, "node_weights", nw)
-        object.__setattr__(self, "node_points", npts)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "points", p)
 
     @property
     def dimension(self) -> int:
-        return self.atom_points.shape[1] if self.atom_points.size else self.node_points.shape[1]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.concatenate([self.atom_weights, self.node_weights])
-
-    @property
-    def points(self) -> np.ndarray:
-        if not self.atom_weights.size:
-            return self.node_points
-        if not self.node_weights.size:
-            return self.atom_points
-        return np.concatenate([self.atom_points, self.node_points])
-
-
-def _merge_exact_duplicates(w: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    seen: dict[bytes, int] = {}
-    out_w, out_p = [], []
-    for wi, pi in zip(w, p):
-        key = pi.tobytes()
-        if key in seen:
-            out_w[seen[key]] += wi
-        else:
-            seen[key] = len(out_w)
-            out_w.append(float(wi))
-            out_p.append(pi)
-    return np.asarray(out_w), np.asarray(out_p)
+        return self.points.shape[1]
 
 
 def atomic_measure(weights, points) -> BoundaryMeasure:
@@ -147,7 +105,7 @@ def atomic_measure(weights, points) -> BoundaryMeasure:
     w = np.asarray(weights, dtype=float)
     p = np.asarray(points, dtype=float)
     p = p / np.linalg.norm(p, axis=1, keepdims=True)
-    return BoundaryMeasure(w / w.sum(), p, np.empty(0), np.empty((0, p.shape[1])))
+    return BoundaryMeasure(w / w.sum(), p)
 
 
 # ---------------------------------------------------------------------------
@@ -182,28 +140,11 @@ def _cached_quadrature(k: int, n: int):
 # operations
 # ---------------------------------------------------------------------------
 
-def pushforward(beta: BoundaryMeasure, f) -> BoundaryMeasure:
-    """Image measure under a boundary map; weights are carried unchanged.
-
-    ``f`` may be an Isometry, a callable on (N, k) direction arrays, or an
-    object with a ``map_points`` method.
-    """
-    if isinstance(f, Isometry):
-        mapper = f.apply_boundary_many
-    elif hasattr(f, "map_points"):
-        mapper = f.map_points
-    else:
-        mapper = f
-    def send(p):
-        if p.size == 0:
-            return p
-        q = np.asarray(mapper(p), dtype=float)
-        return q / np.linalg.norm(q, axis=1, keepdims=True)
-    ap = send(beta.atom_points)
-    npts = send(beta.node_points)
-    if ap.size == 0 and npts.size:
-        ap = ap.reshape(0, npts.shape[1])
-    return BoundaryMeasure(beta.atom_weights, ap, beta.node_weights, npts)
+def pushforward(beta: BoundaryMeasure, g: Isometry) -> BoundaryMeasure:
+    """Image measure under the boundary action of g; weights are carried
+    unchanged."""
+    q = g.apply_boundary_many(beta.points)
+    return BoundaryMeasure(beta.weights, q / np.linalg.norm(q, axis=1, keepdims=True))
 
 
 @dataclass(frozen=True)

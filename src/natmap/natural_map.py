@@ -49,6 +49,11 @@ class ElementaryRepresentationError(ValueError):
     """The representation is elementary: the pushed measure concentrates."""
 
 
+class UnresolvedVisualMeasureError(ValueError):
+    """One quadrature node holds half the visual measure: the rule is too
+    coarse for the density at this basepoint."""
+
+
 # ---------------------------------------------------------------------------
 # representations
 # ---------------------------------------------------------------------------
@@ -360,14 +365,20 @@ class PushedFamily:
         return raw / raw.sum()
 
     def measure_at(self, x: np.ndarray) -> BoundaryMeasure:
-        return BoundaryMeasure(np.empty(0), np.empty((0, self.target_dim)),
-                               self.weights_at(x), self.images)
+        return BoundaryMeasure(self.weights_at(x), self.images)
 
 
 def _solve_barycenter(pushed: PushedFamily, x: np.ndarray,
                       cfg: SolverConfig | None) -> BarycenterResult:
-    res = barycenter(pushed.measure_at(x), cfg)
+    beta = pushed.measure_at(x)
+    res = barycenter(beta, cfg)
     if res.kind != "interior":
+        # far from the origin the density is narrower than the node spacing
+        top = float(beta.weights.max())
+        if top >= 0.5:
+            raise UnresolvedVisualMeasureError(
+                f"one of {beta.weights.size} quadrature nodes carries {top:.3f} "
+                "of the visual measure; the rule cannot resolve it here")
         raise ElementaryRepresentationError(
             "pushed visual measure concentrates at an ideal point")
     return res
@@ -388,12 +399,14 @@ class OperatorPair:
 
     H integrates the squared Busemann differentials at the image, K = I - H
     is the integrated Busemann Hessian (curvature -1 identity), H_prime is
-    the source-side analogue on T_x H^k.
+    the source-side analogue on T_x H^k, and L the mixed term
+    sum w_i b_i a_i^T of image-side b and source-side a.
     """
 
     H: np.ndarray
     K: np.ndarray
     H_prime: np.ndarray
+    L: np.ndarray
     basepoint: HPoint
     image: HPoint
 
@@ -410,7 +423,8 @@ def operators_at(rho: Representation | None, D, family: VisualFamily,
     H = np.einsum("i,ij,il->jl", w, b, b)
     a = busemann_gradients_frame(xc, pushed.nodes)
     Hp = np.einsum("i,ij,il->jl", w, a, a)
-    return OperatorPair(H, np.eye(H.shape[0]) - H, Hp, x, image)
+    L = np.einsum("i,ij,il->jl", w, b, a)
+    return OperatorPair(H, np.eye(H.shape[0]) - H, Hp, L, x, image)
 
 
 @dataclass(frozen=True)
@@ -455,20 +469,15 @@ def jacobian(rho: Representation | None, D, family: VisualFamily, x: HPoint,
     if method not in ("implicit", "finite-difference"):
         raise ValueError(f"unknown method '{method}'")
     pushed = D if isinstance(D, PushedFamily) else PushedFamily(D, family)
-    xc = x.coords
     if pair is None:
         pair = operators_at(rho, pushed, family, x, cfg)
-    image = pair.image
     kmin = float(np.linalg.eigvalsh(pair.K)[0])
     k = family.dimension
     fell_back = method == "implicit" and kmin < K_CONDITION_FLOOR
     if method == "implicit" and not fell_back:
-        w = pushed.weights_at(xc)
-        b = busemann_gradients_frame(image.coords, pushed.images)
-        a = busemann_gradients_frame(xc, pushed.nodes)
-        DF = (k - 1) * np.linalg.solve(pair.K, np.einsum("i,ij,il->jl", w, b, a))
+        DF = (k - 1) * np.linalg.solve(pair.K, pair.L)
     else:
-        DF = _finite_difference_DF(pushed, xc, image, cfg)
+        DF = _finite_difference_DF(pushed, x.coords, pair.image, cfg)
         method = "finite-difference"
     sv = np.linalg.svd(DF, compute_uv=False)
     return JacobianResult(DF, float(np.prod(sv[:k])), method, kmin, fell_back=fell_back)

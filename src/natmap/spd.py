@@ -43,21 +43,6 @@ class TraceOneSPD:
         return TraceOneSPD(np.eye(k) / k)
 
 
-@dataclass(frozen=True)
-class SimplexPoint:
-    """Interior point of the standard simplex: positive coordinates, sum 1."""
-
-    coordinates: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coordinates, dtype=float)
-        object.__setattr__(self, "coordinates", c)
-        if np.min(c) <= 0.0:
-            raise ValueError("simplex coordinates must be positive")
-        if abs(c.sum() - 1.0) > TRACE_TOL:
-            raise ValueError("simplex coordinates must sum to 1")
-
-
 def psi_max(k: int) -> float:
     """Supremum (k/(k-1)^2)^k of psi on trace-one SPD matrices, k >= 3."""
     return (k / (k - 1) ** 2) ** k
@@ -73,7 +58,7 @@ def psi(H) -> float | np.ndarray:
 
 def psi_simplex(a) -> float | np.ndarray:
     """psi read on the eigenvalue simplex: prod a_i / (1 - a_i)^2."""
-    c = a.coordinates if isinstance(a, SimplexPoint) else np.asarray(a, dtype=float)
+    c = np.asarray(a, dtype=float)
     val = np.prod(c / (1.0 - c) ** 2, axis=-1)
     return float(val) if np.ndim(val) == 0 else val
 

@@ -204,25 +204,6 @@ def _edge_classes(tri: IdealTriangulation) -> list[list[tuple[int, int, int]]]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ShapeVector:
-    """Tetrahedron shape parameters; geometric solutions have Im z > 0."""
-
-    z: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=complex)
-        object.__setattr__(self, "z", z)
-        if np.any(z == 0) or np.any(z == 1):
-            raise ValueError("shape parameter at a pole")
-
-
-def _shape_array(shapes) -> np.ndarray:
-    if isinstance(shapes, ShapeVector):
-        return shapes.z
-    return np.asarray(shapes, dtype=complex)
-
-
-@dataclass(frozen=True)
 class ResidualReport:
     edge: np.ndarray          # log-sum minus 2 pi i, per edge class
     cusp: np.ndarray          # cusp-row log combinations (0 when complete)
@@ -237,7 +218,7 @@ class ResidualReport:
 
 def gluing_residual(tri: IdealTriangulation, shapes) -> ResidualReport:
     """Edge equation residuals (and cusp residuals) at the given shapes."""
-    z = _shape_array(shapes)
+    z = np.asarray(shapes, dtype=complex)
     if np.any((z == 0) | (z == 1)):
         raise ValueError("shape parameter at a pole")
     logs = np.array([slot_logs(zi) for zi in z])          # (T, 3)
@@ -256,7 +237,7 @@ class VolumeValue:
 
 def volume_of_shapes(tri: IdealTriangulation, shapes) -> VolumeValue:
     """Signed dilogarithm volume of a shape assignment."""
-    z = _shape_array(shapes)
+    z = np.asarray(shapes, dtype=complex)
     vals = bloch_wigner(z)
     total = float(np.sum(vals))
     return VolumeValue(total, 5e-15 * z.size)
@@ -329,7 +310,7 @@ def develop(tri: IdealTriangulation, shapes, base_tet: int = 0) -> Developed:
     once; each remaining gluing G contributes the deck transformation
     identifying the far copy with its fundamental placement.
     """
-    z = _shape_array(shapes)
+    z = np.asarray(shapes, dtype=complex)
     if np.any(np.abs(z) < 1e-10) or np.any(np.abs(1.0 - z) < 1e-10):
         raise DevelopingFailureError("shapes too close to a degenerate tetrahedron")
     placements = {base_tet: _normalized_positions(z[base_tet])}
@@ -519,7 +500,7 @@ def holonomy_from_shapes(tri: IdealTriangulation, shapes,
     occurring once in a relator are eliminated, which lands on the
     two-generator one-relator presentation for the figure-eight.
     """
-    z = _shape_array(shapes)
+    z = np.asarray(shapes, dtype=complex)
     res = gluing_residual(tri, z)
     if res.max_edge() > 1e-8:
         raise ValueError(f"edge residual {res.max_edge():.2e} exceeds 1e-8")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,22 @@ def random_spread_measure(rng, k=3, n_atoms=None):
         w = rng.dirichlet(np.ones(n))
         if w.max() < 0.5 - 1e-9:
             return ms.atomic_measure(w, pts)
+
+
+# generic measures (units 134 and 787 of the atomic-barycenter benchmark
+# at seed 1) on which Armijo trial points once rounded to |y| >= 1, where
+# busemann_many divided by zero and took the log of a negative number
+OUT_OF_BALL_TRIALS = [
+    ([0.27599169081525088, 0.0034789285233591937, 0.29687033086873915, 0.42365904979265084],
+     [[0.51706346501433353, -0.6947350020212768, 0.49998864998504461],
+      [0.2461058328259938, -0.9565677933629716, 0.15623692185177995],
+      [-0.42108128575295589, -0.16761159701184569, -0.89140165096087653],
+      [-0.33023952617346475, -0.14281507704050031, -0.93303039024602052]]),
+    ([0.40758279255148655, 0.40468667970188577, 0.18773052774662763],
+     [[-0.17997912266521582, 0.136545192867708, 0.97414728132319883],
+      [-0.035769513199684862, 0.6558652629094831, -0.7540300384163301],
+      [-0.14716357441498232, 0.035337859136391113, 0.98848071204098997]]),
+]
 
 
 class TestPhi:
@@ -65,12 +83,28 @@ class TestDerivatives:
             # chart components of h times the unit frame vector u
             step = h * (1.0 - np.dot(y, y)) / 2.0 * u
             fd = (bc._phi_chart(m, y + step) - bc._phi_chart(m, y - step)) / (2 * h)
-            assert fd == pytest.approx(np.dot(bc._grad_frame(m, y), u), abs=1e-6)
+            assert fd == pytest.approx(np.dot(bc._derivatives(m, y)[0], u), abs=1e-6)
+
+    def test_one_gradient_array_per_step(self, rng, monkeypatch):
+        # gradient and Hessian share one array of Busemann gradients, so a
+        # solve builds one per Newton step and one at the converged point
+        calls = []
+        inner = bc.busemann_gradients_frame
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(bc, "busemann_gradients_frame", counted)
+        for _ in range(5):
+            calls.clear()
+            res = bc.barycenter(random_spread_measure(rng))
+            assert len(calls) == res.iterations + 1
 
     def test_hessian_trace_is_k_minus_one(self, rng):
         for k in (2, 3, 5):
             m = random_spread_measure(rng, k=k)
-            H = bc._hess_frame(m, np.zeros(k))
+            H = bc._derivatives(m, np.zeros(k))[1]
             assert np.trace(H) == pytest.approx(k - 1, abs=1e-13)
 
 
@@ -108,8 +142,7 @@ class TestBarycenter:
         # half of a total that is 1 only to MASS_TOL; compared with 1/2
         # this atom once sent the solver to NoConvergenceError
         res = bc.barycenter(ms.BoundaryMeasure(
-            np.array([0.5 - 3e-11, 0.3, 0.2 - 3e-11]), np.eye(3),
-            np.empty(0), np.empty((0, 3))))
+            np.array([0.5 - 3e-11, 0.3, 0.2 - 3e-11]), np.eye(3)))
         assert res.kind == "boundary-atom"
         assert np.allclose(res.location.direction, [1, 0, 0])
 
@@ -127,8 +160,7 @@ class TestBarycenter:
         for w in (0.5 + 2e-11, 0.5 - 2e-11, 0.5 + 4.9e-11, 0.5 - 4.9e-11):
             with pytest.raises(bc.TwoEqualAtomsError):
                 bc.barycenter(ms.BoundaryMeasure(
-                    np.full(2, w), np.array([[1.0, 0, 0], [-1.0, 0, 0]]),
-                    np.empty(0), np.empty((0, 3))))
+                    np.full(2, w), np.array([[1.0, 0, 0], [-1.0, 0, 0]])))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(1e-12, 5e-10))
@@ -143,6 +175,48 @@ class TestBarycenter:
         near = np.cos(gap) * u + np.sin(gap) * v
         with pytest.raises(bc.TwoEqualAtomsError):
             bc.barycenter(ms.atomic_measure([0.25, 0.25, 0.5], [u, near, heavy]))
+
+    def test_trial_points_stay_in_ball(self):
+        # a trial point outside the ball chart is a failed Armijo step,
+        # rejected before phi is evaluated there
+        for w, p in OUT_OF_BALL_TRIALS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = bc.barycenter(ms.BoundaryMeasure(np.array(w), np.array(p)))
+            assert res.kind == "interior"
+            assert res.gradient_norm <= 1e-10
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_split_atom_same_barycenter(self, seed):
+        # an atom given as two exact copies of half its weight is the same
+        # measure: the clustering pass merges the copies, the solver sums them
+        r = np.random.default_rng(seed)
+        while True:
+            n = int(r.integers(3, 7))
+            w = r.dirichlet(np.ones(n))
+            if w.max() < 0.49:
+                break
+        pts = r.standard_normal((n, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        j = int(r.integers(n))
+        split_w = np.concatenate([w, [w[j] / 2.0]])
+        split_w[j] = w[j] / 2.0
+        cfg = bc.SolverConfig(gradient_tol=1e-12)
+        whole = bc.barycenter(ms.BoundaryMeasure(w, pts), cfg)
+        split = bc.barycenter(ms.BoundaryMeasure(split_w, np.vstack([pts, pts[j]])), cfg)
+        assert whole.kind == split.kind == "interior"
+        assert geo.distance(whole.location, split.location) <= 1e-11
+
+    def test_split_half_atoms(self):
+        p, q = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
+        # two copies of a quarter at p make a half-mass atom opposite q's
+        with pytest.raises(bc.TwoEqualAtomsError):
+            bc.barycenter(ms.BoundaryMeasure(np.array([0.25, 0.25, 0.5]),
+                                             np.array([p, p, q])))
+        res = bc.barycenter(ms.BoundaryMeasure(np.array([0.5, 0.5]), np.array([p, p])))
+        assert res.kind == "boundary-atom"
+        assert np.array_equal(res.location.direction, p)
 
     def test_no_convergence_carries_best(self, rng):
         m = random_spread_measure(rng)

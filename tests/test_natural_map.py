@@ -241,6 +241,19 @@ class TestNaturalMapExactCases:
         with pytest.raises(nm.ElementaryRepresentationError):
             nm.natural_map(None, Collapse(), fam2000, O3)
 
+    def test_unresolved_density_far_out(self, fam2000):
+        # at distance 3.5 from the origin, toward a node, that node carries
+        # over half the visual mass: the identity is not elementary, the
+        # 2048-node rule just cannot resolve the density there
+        assert not issubclass(nm.UnresolvedVisualMeasureError,
+                              nm.ElementaryRepresentationError)
+        pushed = nm.PushedFamily(nm.identity_boundary_map(3), fam2000)
+        for j, top in ((1000, "0.646"), (1500, "0.531")):
+            x = geo.HPoint(np.tanh(3.5 / 2.0) * pushed.nodes[j])
+            with pytest.raises(nm.UnresolvedVisualMeasureError,
+                               match=f"one of 2048 quadrature nodes carries {top}"):
+                nm.natural_map(None, pushed, fam2000, x)
+
 
 class TestOperators:
     def test_identity_isotropy(self, fam2000):
@@ -299,6 +312,20 @@ class TestJacobian:
             j = nm.jacobian(st.representation, pushed, fam2000, x, "implicit")
             assert j.jac_k <= 1.0 + 5e-3
 
+    def test_implicit_reads_the_pair(self, fam2000, monkeypatch):
+        # the implicit Jacobian solves K DF = (k-1) L from the pair alone
+        pushed = nm.PushedFamily(nm.identity_boundary_map(3), fam2000)
+        x = geo.HPoint(np.array([0.1, -0.3, 0.05]))
+        pair = nm.operators_at(None, pushed, fam2000, x)
+
+        def recomputed(*args):
+            raise AssertionError("the implicit Jacobian recomputed the pair's inputs")
+
+        monkeypatch.setattr(nm, "busemann_gradients_frame", recomputed)
+        monkeypatch.setattr(nm.PushedFamily, "weights_at", recomputed)
+        j = nm.jacobian(None, pushed, fam2000, x, "implicit", pair=pair)
+        assert np.array_equal(j.DF, 2 * np.linalg.solve(pair.K, pair.L))
+
     def test_ill_conditioned_fallback(self, fam2000):
         # a synthetic operator pair with nearly singular K exercises the
         # guard; the map itself is benign so the fallback returns ~identity
@@ -306,7 +333,7 @@ class TestJacobian:
         x = geo.HPoint(np.array([0.1, 0.0, 0.0]))
         F = nm.natural_map(None, pushed, fam2000, x)
         H = np.diag([1.0 - 2e-7, 1e-7, 1e-7])
-        pair = nm.OperatorPair(H, np.eye(3) - H, np.eye(3) / 3, x, F)
+        pair = nm.OperatorPair(H, np.eye(3) - H, np.eye(3) / 3, 2 * np.eye(3) / 3, x, F)
         j = nm.jacobian(None, pushed, fam2000, x, "implicit", pair=pair)
         assert j.fell_back
         assert j.method == "finite-difference"

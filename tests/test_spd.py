@@ -57,8 +57,6 @@ class TestPsiSimplex:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            spd.SimplexPoint(np.array([0.5, 0.5, 0.0]))
-        with pytest.raises(ValueError):
             spd.TraceOneSPD(np.diag([0.5, 0.6, -0.1]))
 
 

@@ -4,7 +4,9 @@ Every top-level function and class of ``src/natmap``, and every method,
 must be named somewhere in the code of ``src/natmap`` or ``perfbench/``,
 the benchmark's tests aside, outside its own definition: as a name, an attribute, an imported name, or
 a word of a string constant (the benchmark's tracer looks functions up by
-the names in its strings).  Dunder methods are exempt.  Code that only a
+the names in its strings).  The class tested by ``isinstance`` does not
+count: a type that only its own ``isinstance`` branch names is never
+built.  Dunder methods are exempt.  Code that only a
 test calls belongs in the tests, with ``_oracles`` for reference
 computations.
 """
@@ -21,9 +23,16 @@ DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _names(tree: ast.AST) -> Counter:
-    """How often each identifier is named under ``tree``."""
+    """How often each identifier is named under ``tree``, the second
+    argument of ``isinstance`` aside."""
+    tested = {id(sub) for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "isinstance" and len(node.args) == 2
+              for sub in ast.walk(node.args[1])}
     out = Counter()
     for node in ast.walk(tree):
+        if id(node) in tested:
+            continue
         if isinstance(node, ast.Name):
             out[node.id] += 1
         elif isinstance(node, ast.Attribute):

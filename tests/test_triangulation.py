@@ -92,11 +92,9 @@ class TestGluingResidual:
         assert rep.max_edge() <= 1e-12
         assert rep.max_cusp() <= 1e-12
 
-    def test_shape_vector_type(self, tri):
-        sv = tr.ShapeVector(np.array([Z0, Z0]))
-        assert tr.gluing_residual(tri, sv).max_edge() <= 1e-12
-        with pytest.raises(ValueError):
-            tr.ShapeVector(np.array([1.0 + 0j, Z0]))
+    def test_pole_rejected(self, tri):
+        with pytest.raises(ValueError, match="pole"):
+            tr.gluing_residual(tri, [1.0 + 0j, Z0])
 
     def test_perturbed_residual_continuous(self, tri):
         eps = 1e-5
