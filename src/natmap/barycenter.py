@@ -115,7 +115,7 @@ def barycenter(beta: BoundaryMeasure,
 
     y = initial.coords.copy() if initial is not None else _initial_guess(beta)
     degenerate = False
-    val = _phi_chart(beta, y)
+    val = None                        # phi(y), computed when a damped step reads it
     for it in range(1, cfg.max_iterations + 1):
         g, Hf = _derivatives(beta, y)
         gnorm = float(np.linalg.norm(g))
@@ -135,8 +135,10 @@ def barycenter(beta: BoundaryMeasure,
             # quadratic-convergence regime: phi decreases by less than float
             # resolution, so backtracking is blind; take the full step
             y = _exp_chart(y, chart_step)
-            val = _phi_chart(beta, y)
+            val = None
             continue
+        if val is None:
+            val = _phi_chart(beta, y)
         # Armijo backtracking along the geodesic through the step
         slope = float(np.dot(g, step_frame))
         if slope >= 0.0:              # numerical safeguard
@@ -148,12 +150,15 @@ def barycenter(beta: BoundaryMeasure,
             cand = _exp_chart(y, t * chart_step)
             # a trial point that rounding puts outside the ball chart is a
             # failed step: phi is not defined there
-            if (np.dot(cand, cand) < 1.0
-                    and _phi_chart(beta, cand) <= val + ARMIJO_SLOPE * t * slope):
-                break
+            if np.dot(cand, cand) < 1.0:
+                trial = _phi_chart(beta, cand)
+                if trial <= val + ARMIJO_SLOPE * t * slope:
+                    y, val = cand, trial
+                    break
             t *= ARMIJO_CONTRACTION
-        y = _exp_chart(y, t * chart_step)
-        val = _phi_chart(beta, y)
+        else:                         # no trial point passed: step by the final t
+            y = _exp_chart(y, t * chart_step)
+            val = _phi_chart(beta, y)
 
     gnorm = float(np.linalg.norm(_derivatives(beta, y)[0]))
     raise NoConvergenceError(

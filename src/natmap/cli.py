@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +103,7 @@ def cmd_psi_scan(args) -> int:
                   budget="exact collar supremum: max over b of Psi(y, b, 1-y-b) "
                          f"at y = margin <= {spd.COLLAR_MARGIN_MAX}, on the ridge "
                          "b* = y(1+2y+O(y^2)); 1/4 + y/2 + 3y^2/4 + O(y^3)")
-        rep.payload["collar_scan"] = json.loads(scan.to_json())
+        rep.payload["collar_scan"] = asdict(scan)
         limits = [spd.edge_limit_values(a)[1] for a in (0.2, 0.35, 0.5, 0.65, 0.8)]
         rep.check("edge_limits_vanish", max(abs(v) for v in limits), 1e-4,
                   budget="Richardson extrapolation along approach sequences")
@@ -110,7 +111,7 @@ def cmd_psi_scan(args) -> int:
         scan = spd.boundary_bound_scan(k, args.margin, args.samples, seed=args.seed)
         rep.check("vertex_envelope_ratio", scan.max_value, scan.threshold,
                   budget="envelope s^(k-3)/(k-1)^(k-1), correction (1-s)^(3-2k)")
-        rep.payload["vertex_scan"] = json.loads(scan.to_json())
+        rep.payload["vertex_scan"] = asdict(scan)
     return rep.dump(Path(args.out))
 
 
@@ -118,7 +119,7 @@ def cmd_psi_converse(args) -> int:
     rep = _Report("psi-converse", {"k": args.k, "eps": args.eps,
                                    "trials": args.trials, "seed": args.seed})
     res = spd.quantitative_converse(args.k, args.eps, args.trials, seed=args.seed)
-    rep.payload["converse"] = json.loads(res.to_json())
+    rep.payload["converse"] = asdict(res)
     known = {0.0: 1e-7, 1e-4: 0.02, 1e-2: 0.2}
     bound = known.get(args.eps)
     if bound is not None:

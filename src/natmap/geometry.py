@@ -63,10 +63,6 @@ class HPoint:
     def dimension(self) -> int:
         return self.coords.size
 
-    @staticmethod
-    def origin(k: int) -> "HPoint":
-        return HPoint(np.zeros(k))
-
 
 @dataclass(frozen=True)
 class BoundaryPoint:
@@ -82,10 +78,6 @@ class BoundaryPoint:
         if abs(n - 1.0) > BOUNDARY_NORM_TOL:
             d = d / n
         object.__setattr__(self, "direction", d)
-
-    @property
-    def dimension(self) -> int:
-        return self.direction.size
 
 
 def conformal_factor(x: np.ndarray) -> float:
@@ -194,10 +186,10 @@ def _log_chart(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class Isometry:
     """Element of Isom(H^k) stored as a Lorentz matrix in O(k,1).
 
-    For k = 3 an optional unit-determinant 2x2 complex spin matrix may be
-    attached; translation lengths and fixed points are then computed from
-    it, which is far more accurate for parabolic elements than the
-    eigenvalues of a defective 4x4 matrix.
+    For k = 3 a unit-determinant 2x2 complex spin matrix may be attached;
+    translation lengths and fixed points are computed from it alone, which
+    stays accurate for parabolic elements where the eigenvalues of the
+    defective 4x4 matrix do not.
     """
 
     lorentz: np.ndarray
@@ -252,7 +244,7 @@ class Isometry:
         # J g^T J is the exact Lorentz inverse; cheaper and better
         # conditioned than a generic matrix inverse.
         J = minkowski(self.dimension + 1)
-        spin = None if self.spin is None else adjugate(self.spin)
+        spin = adjugate(self.spin) if self.spin is not None else None
         return Isometry._raw(J @ self.lorentz.T @ J, spin)
 
     def apply(self, x: HPoint) -> HPoint:
@@ -260,24 +252,12 @@ class Isometry:
             raise DimensionMismatchError("point of wrong dimension")
         return HPoint(hyperboloid_to_ball(self.lorentz @ ball_to_hyperboloid(x.coords)))
 
-    def apply_boundary(self, theta: BoundaryPoint) -> BoundaryPoint:
-        return boundary_action(self, theta)
-
     def apply_boundary_many(self, directions: np.ndarray) -> np.ndarray:
         """Boundary action on an (N, k) array of unit directions."""
         n = directions.shape[0]
         lifts = np.concatenate([np.ones((n, 1)), directions], axis=1)
         out = lifts @ self.lorentz.T
         return out[:, 1:] / out[:, :1]
-
-
-def boundary_action(g: Isometry, theta: BoundaryPoint) -> BoundaryPoint:
-    """Continuous extension of the ball action to the ideal sphere."""
-    if theta.dimension != g.dimension:
-        raise DimensionMismatchError("boundary point of wrong dimension")
-    lift = np.concatenate([[1.0], theta.direction])
-    image = g.lorentz @ lift
-    return BoundaryPoint(image[1:] / image[0])
 
 
 def random_isometry(rng: np.random.Generator, k: int,
@@ -298,102 +278,23 @@ def random_isometry(rng: np.random.Generator, k: int,
 # translation length and fixed points
 # ---------------------------------------------------------------------------
 
-def _fixed_boundary_candidates(g: Isometry) -> list[np.ndarray]:
-    """Unit directions of likely ideal fixed points of g.
-
-    Null vectors inside the numerical kernel of g - I are recovered from an
-    SVD, which stays accurate for parabolic matrices where plain
-    eigenvectors of the defective matrix do not.
-    """
-    n = g.dimension + 1
-    out = []
-    _, svals, Vt = np.linalg.svd(g.lorentz - np.eye(n))
-    small = [j for j in range(n) if svals[j] < 1e-5]
-    if small:
-        V = Vt[small].T
-        J = minkowski(n)
-        gram = V.T @ J @ V
-        gram = (gram + gram.T) / 2.0
-        mu, W = np.linalg.eigh(gram)
-        basis = V @ W
-        if mu.size == 1:
-            if abs(mu[0]) < 1e-8:
-                out.append(basis[:, 0])
-        else:
-            lo, hi = mu[0], mu[-1]
-            if lo <= 1e-12 and hi >= -1e-12:
-                a, b = np.sqrt(max(hi, 0.0)), np.sqrt(max(-lo, 0.0))
-                out.append(b * basis[:, -1] + a * basis[:, 0])
-                out.append(b * basis[:, -1] - a * basis[:, 0])
-    # eigenvector candidates cover the cleanly loxodromic case
-    vals, vecs = np.linalg.eig(g.lorentz)
-    for j in range(vals.size):
-        out.append(np.real(vecs[:, j]))
-    dirs = []
-    for v in out:
-        if np.linalg.norm(v) < 1e-12 or abs(v[0]) < 1e-12 * np.linalg.norm(v):
-            continue
-        d = v[1:] / v[0]
-        nd = np.linalg.norm(d)
-        if nd > 1e-12:
-            dirs.append(d / nd)
-    return dirs
-
-
-def _displacement_infimum(g: Isometry) -> float:
-    """Approximate inf_y d(gy, y) by descending toward candidate fixed ends.
-
-    Depth is capped near t = 20: beyond that the ball-chart rounding noise
-    2 eps / (1 - |p|^2) exceeds the parabolic displacement decay and the
-    computed distances are meaningless.
-    """
-    k = g.dimension
-    best = distance(HPoint.origin(k), g.apply(HPoint.origin(k)))
-    for d in _fixed_boundary_candidates(g):
-        for t in np.linspace(0.5, 20.0, 80):
-            r = min(np.tanh(t / 2.0), 1.0 - 1e-14)
-            p = HPoint(r * d)
-            best = min(best, distance(p, g.apply(p)))
-    return best
-
-
 def translation_length(g: Isometry) -> float:
-    """inf_y d(gy, y); zero for elliptic and parabolic isometries.
-
-    With a spin matrix attached (k = 3) the exact trace formula is used.
-    Otherwise the dominant Lorentz eigenvalue gives the length, with a
-    displacement-descent refinement in the near-parabolic regime where
-    eigenvalues of a defective matrix are unreliable.
-    """
-    if g.spin is not None:
-        tr = complex(np.trace(g.spin)) / cmath.sqrt(complex(np.linalg.det(g.spin)))
-        ell = 2.0 * abs(cmath.acosh(tr / 2.0).real)
-        return ell if ell > 1e-12 else 0.0
-    vals = np.linalg.eigvals(g.lorentz)
-    ell = float(np.max(np.log(np.abs(vals))))
-    if ell >= 1e-4:
-        return ell
-    # below 1e-4 the eigenvalues of a (near-)defective matrix carry
-    # perturbations of order eps^(1/3); fall back to displacement descent,
-    # accurate to roughly 1e-6 absolute
-    refined = _displacement_infimum(g)
-    return 0.0 if refined < 1e-6 else refined
+    """inf_y d(gy, y) from the trace of the spin matrix; zero for elliptic
+    and parabolic isometries."""
+    if g.spin is None:
+        raise ValueError("translation lengths need the spin matrix of a k = 3 isometry")
+    tr = complex(np.trace(g.spin)) / cmath.sqrt(complex(np.linalg.det(g.spin)))
+    ell = 2.0 * abs(cmath.acosh(tr / 2.0).real)
+    return ell if ell > 1e-12 else 0.0
 
 
 def loxodromic_fixed_points(g: Isometry) -> tuple[BoundaryPoint, BoundaryPoint]:
-    """(attracting, repelling) ideal fixed points of a loxodromic isometry."""
-    if g.spin is not None:
-        att, rep = _spin_fixed_points(g.spin)
-        return sphere_from_complex(att), sphere_from_complex(rep)
-    vals, vecs = np.linalg.eig(g.lorentz)
-    order = np.argsort(np.abs(vals))
-    out = []
-    for j in (order[-1], order[0]):
-        v = np.real(vecs[:, j])
-        v = v / v[0]
-        d = v[1:]
-        out.append(BoundaryPoint(d / np.linalg.norm(d)))
-    return out[0], out[1]
+    """(attracting, repelling) ideal fixed points of a loxodromic isometry,
+    from the eigenvectors of its spin matrix."""
+    if g.spin is None:
+        raise ValueError("fixed points need the spin matrix of a k = 3 isometry")
+    att, rep = _spin_fixed_points(g.spin)
+    return sphere_from_complex(att), sphere_from_complex(rep)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from scipy.spatial import cKDTree
 from . import spd
 from .barycenter import BarycenterResult, SolverConfig, barycenter
 from .geometry import (
-    BoundaryPoint,
     HPoint,
     Isometry,
     _exp_chart,
@@ -30,6 +29,7 @@ from .geometry import (
     busemann_many,
     conformal_factor,
     distance,
+    psl2_to_lorentz,
     translation_length,
 )
 from .measures import BoundaryMeasure, VisualFamily
@@ -39,14 +39,13 @@ FD_STEP = 1e-4
 K_CONDITION_FLOOR = 1e-6
 # translation length above which a word enters the orbit table
 ORBIT_LENGTH_TOL = 1e-6
-# common-fixed-point tolerance of ``Representation.is_elementary``
-ELEMENTARY_TOL = 1e-8
 # slack of the Jacobian determinant bound check
 BOUND_TOL = 1e-3
 
 
 class ElementaryRepresentationError(ValueError):
-    """The representation is elementary: the pushed measure concentrates."""
+    """The pushed visual measure concentrates at an ideal point, as it
+    does for an elementary representation."""
 
 
 class UnresolvedVisualMeasureError(ValueError):
@@ -63,7 +62,8 @@ _LETTERS = "abcdefgh"
 
 @dataclass(frozen=True)
 class Representation:
-    """Group representation: named generator isometries plus relator words.
+    """Group representation into PSL(2,C): named generator isometries of
+    H^3, each carrying its spin matrix, plus relator words.
 
     Words use one lowercase letter per generator, uppercase for its
     inverse ('abAB' is a b a^-1 b^-1).
@@ -80,6 +80,8 @@ class Representation:
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "relators", tuple(self.relators))
+        if any(g.spin is None for g in self.generators):
+            raise ValueError("representations need the spin matrices of k = 3 generators")
         for r in self.relators:
             res = self.relator_residual(r)
             if res > RELATOR_TOL:
@@ -101,14 +103,9 @@ class Representation:
         return out
 
     def relator_residual(self, word: str) -> float:
-        g = self.evaluate(word)
-        if g.spin is not None:
-            # convert the 2x2 product once: the long 4x4 chain amplifies
-            # rounding quadratically in the entry size, the spin chain not
-            from .geometry import psl2_to_lorentz
-            lorentz = psl2_to_lorentz(g.spin).lorentz
-        else:
-            lorentz = g.lorentz
+        # convert the 2x2 product once: the long 4x4 chain amplifies
+        # rounding quadratically in the entry size, the spin chain not
+        lorentz = psl2_to_lorentz(self.evaluate(word).spin).lorentz
         return float(np.max(np.abs(lorentz - np.eye(self.target_dim + 1))))
 
     def _orbit_table_source(self, max_word_length: int):
@@ -126,47 +123,6 @@ class Representation:
                 a.setflags(write=False)
             self._orbit_sources[max_word_length] = (tuple(words), lox, fixed)
         return self._orbit_sources[max_word_length]
-
-    def is_elementary(self) -> bool:
-        """True when the generators share a fixed ideal point or an axis."""
-        from .geometry import _fixed_boundary_candidates
-        gens = [g for g in self.generators
-                if np.max(np.abs(g.lorentz - np.eye(g.dimension + 1))) > 1e-12]
-        if len(gens) <= 1:
-            return True
-        cands = []
-        for d in _fixed_boundary_candidates(gens[0]):
-            p = BoundaryPoint(d)
-            img = gens[0].apply_boundary(p)
-            if np.linalg.norm(img.direction - d) < 1e-6:
-                cands.append(d)
-        if not cands:
-            return False
-        fixed_all = []
-        for d in cands:
-            ok = True
-            for g in gens[1:]:
-                img = g.apply_boundary(BoundaryPoint(d)).direction
-                if np.linalg.norm(img - d) > ELEMENTARY_TOL:
-                    ok = False
-                    break
-            if ok:
-                return True
-            fixed_all.append(d)
-        # common invariant axis: every generator permutes the pair of ends
-        if len(fixed_all) >= 2:
-            p, q = fixed_all[0], fixed_all[1]
-            for g in gens[1:]:
-                ip = g.apply_boundary(BoundaryPoint(p)).direction
-                iq = g.apply_boundary(BoundaryPoint(q)).direction
-                keeps = (np.linalg.norm(ip - p) < ELEMENTARY_TOL
-                         and np.linalg.norm(iq - q) < ELEMENTARY_TOL)
-                swaps = (np.linalg.norm(ip - q) < ELEMENTARY_TOL
-                         and np.linalg.norm(iq - p) < ELEMENTARY_TOL)
-                if not (keeps or swaps):
-                    return False
-            return True
-        return False
 
 
 def _reduced_word_tree(n_generators: int, max_length: int):
@@ -308,8 +264,6 @@ class OrbitBoundaryMap:
         """
         if len(source.generators) != len(target.generators):
             raise ValueError("representations must share a generating set")
-        if any(g.spin is None for g in source.generators + target.generators):
-            raise ValueError("orbit tables need the spin matrices of k = 3 generators")
         words, src_lox, src_fixed = source._orbit_table_source(max_word_length)
         tgt = _word_spins(target, words)
         tgt_lox = _spin_translation_lengths(tgt) > ORBIT_LENGTH_TOL
@@ -387,8 +341,6 @@ def _solve_barycenter(pushed: PushedFamily, x: np.ndarray,
 def natural_map(rho: Representation | None, D, family: VisualFamily,
                 x: HPoint, cfg: SolverConfig | None = None) -> HPoint:
     """F(x): barycenter of the pushforward under D of the visual measure at x."""
-    if rho is not None and len(rho.generators) > 1 and rho.is_elementary():
-        raise ElementaryRepresentationError("representation is elementary")
     pushed = D if isinstance(D, PushedFamily) else PushedFamily(D, family)
     return _solve_barycenter(pushed, x.coords, cfg).location
 
@@ -398,14 +350,12 @@ class OperatorPair:
     """Second-fundamental data of the natural map at one basepoint.
 
     H integrates the squared Busemann differentials at the image, K = I - H
-    is the integrated Busemann Hessian (curvature -1 identity), H_prime is
-    the source-side analogue on T_x H^k, and L the mixed term
-    sum w_i b_i a_i^T of image-side b and source-side a.
+    is the integrated Busemann Hessian (curvature -1 identity), and L the
+    mixed term sum w_i b_i a_i^T of image-side b and source-side a.
     """
 
     H: np.ndarray
     K: np.ndarray
-    H_prime: np.ndarray
     L: np.ndarray
     basepoint: HPoint
     image: HPoint
@@ -422,9 +372,8 @@ def operators_at(rho: Representation | None, D, family: VisualFamily,
     b = busemann_gradients_frame(image.coords, pushed.images)
     H = np.einsum("i,ij,il->jl", w, b, b)
     a = busemann_gradients_frame(xc, pushed.nodes)
-    Hp = np.einsum("i,ij,il->jl", w, a, a)
     L = np.einsum("i,ij,il->jl", w, b, a)
-    return OperatorPair(H, np.eye(H.shape[0]) - H, Hp, L, x, image)
+    return OperatorPair(H, np.eye(H.shape[0]) - H, L, x, image)
 
 
 @dataclass(frozen=True)

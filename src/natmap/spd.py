@@ -11,8 +11,7 @@ quantitative converse locating the high-level sets of psi near I/k.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,9 +89,6 @@ class ScanReport:
     argmax: list
     threshold: float
     passed: bool
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 # Largest margin for which the collar supremum lies on the near-vertex ridge
@@ -238,9 +234,6 @@ class ConverseReport:
     delta_max_grid: float
     grid_step: float
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
 
 # absolute slack for the float evaluation of psi at its maximum
 _PSI_FLOAT_SLOP = 5e-16
@@ -283,11 +276,11 @@ def quantitative_converse(k: int, eps: float, trials: int,
             delta = max(delta, float(dist.max()))
         done += m
     step = CONVERSE_GRID_STEP
-    grid_delta = _grid_levelset_radius(k, level, step) if k == 3 else float("nan")
+    grid_delta = _grid_levelset_radius(level, step) if k == 3 else float("nan")
     return ConverseReport(k, eps, trials, delta, grid_delta, step)
 
 
-def _grid_levelset_radius(k: int, level: float, step: float) -> float:
+def _grid_levelset_radius(level: float, step: float) -> float:
     """Exhaustive eigenvalue-grid bound on {psi >= level} for k = 3."""
     n = int(round(1.0 / step))
     i = np.arange(1, n)

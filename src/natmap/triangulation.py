@@ -411,13 +411,6 @@ _FIG8_CUSP_ROWS = (
     np.array([[4, 2, 0], [-4, -2, 0]]),
 )
 
-# Peripheral words of the two-generator reduction (a = deck transformation
-# of gluing (0,1), b = of gluing (0,2); both parabolic at the complete
-# structure).  The relator is the classical two-bridge one up to inversion.
-FIG8_RELATOR = "bABabAbaBA"
-FIG8_MERIDIAN = "a"
-FIG8_LONGITUDE = "BabAAbaB"
-
 FIG8_COMPLETE_SHAPE = complex(0.5, np.sqrt(3.0) / 2.0)   # exp(i pi / 3)
 FIG8_VOLUME = 2.029883212819307
 

@@ -37,10 +37,14 @@ def visual_measure(family, x):
     return PushedFamily(identity_boundary_map(family.dimension), family).measure_at(x.coords)
 
 
-def boost(k, length):
-    """Translation of H^k by ``length`` along the first coordinate axis."""
-    from natmap.geometry import Isometry
-    g = np.eye(k + 1)
-    g[0, 0] = g[1, 1] = np.cosh(length)
-    g[0, 1] = g[1, 0] = np.sinh(length)
-    return Isometry(g)
+def spin_boost(length):
+    """Translation of H^3 by ``length`` along the axis from the south to the
+    north pole (the Mobius map z -> e^length z), with its spin matrix."""
+    from natmap.geometry import psl2_to_lorentz
+    return psl2_to_lorentz(np.diag([np.exp(length / 2), np.exp(-length / 2)]))
+
+
+def random_spin_isometry(rng):
+    """Isometry of H^3 from a random 2x2 complex matrix, with its spin matrix."""
+    from natmap.geometry import psl2_to_lorentz
+    return psl2_to_lorentz(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))

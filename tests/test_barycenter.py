@@ -10,7 +10,7 @@ from natmap import measures as ms
 from conftest import random_ball_point, visual_measure
 import _oracles as oracles
 
-O3 = geo.HPoint.origin(3)
+O3 = geo.HPoint(np.zeros(3))
 
 
 def phi(beta, y):
@@ -100,6 +100,22 @@ class TestDerivatives:
             calls.clear()
             res = bc.barycenter(random_spread_measure(rng))
             assert len(calls) == res.iterations + 1
+
+    def test_phi_never_repeats_a_point(self, rng, monkeypatch):
+        # an accepted Armijo trial point keeps its phi value, so phi is not
+        # evaluated again at the new iterate
+        points = []
+        inner = bc.busemann_many
+
+        def recorded(x, directions):
+            points.append(x.copy())
+            return inner(x, directions)
+
+        monkeypatch.setattr(bc, "busemann_many", recorded)
+        for _ in range(20):
+            bc.barycenter(random_spread_measure(rng))
+        assert len(points) > 20
+        assert not any(np.array_equal(p, q) for p, q in zip(points, points[1:]))
 
     def test_hessian_trace_is_k_minus_one(self, rng):
         for k in (2, 3, 5):

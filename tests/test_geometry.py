@@ -5,10 +5,11 @@ from hypothesis import given, settings, strategies as st
 from natmap import geometry as geo
 from natmap.barycenter import _derivatives
 from natmap.measures import atomic_measure
-from conftest import boost, random_ball_point, random_sphere_point
+from conftest import (random_ball_point, random_sphere_point, random_spin_isometry,
+                      spin_boost)
 import _oracles as oracles
 
-O3 = geo.HPoint.origin(3)
+O3 = geo.HPoint(np.zeros(3))
 
 
 def busemann(x, theta):
@@ -44,7 +45,7 @@ class TestDistance:
 
     def test_dimension_mismatch(self):
         with pytest.raises(geo.DimensionMismatchError):
-            geo.distance(O3, geo.HPoint.origin(4))
+            geo.distance(O3, geo.HPoint(np.zeros(4)))
 
     def test_triangle_inequality_and_symmetry(self, rng):
         for _ in range(20):
@@ -167,24 +168,29 @@ class TestIsometries:
                 assert np.max(np.abs(m.T @ J @ m - J)) < 1e-9
 
     def test_boundary_action_identity_and_composition(self, rng):
-        th = random_sphere_point(rng)
-        assert np.allclose(
-            geo.boundary_action(geo.Isometry.identity(3), th).direction,
-            th.direction)
+        th = random_sphere_point(rng).direction[None, :]
+        assert np.allclose(geo.Isometry.identity(3).apply_boundary_many(th), th)
         g, h = geo.random_isometry(rng, 3), geo.random_isometry(rng, 3)
-        lhs = geo.boundary_action(g.compose(h), th).direction
-        rhs = geo.boundary_action(g, geo.boundary_action(h, th)).direction
+        lhs = g.compose(h).apply_boundary_many(th)
+        rhs = g.apply_boundary_many(h.apply_boundary_many(th))
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_loxodromic_fixes_two_points(self, rng):
-        g0 = boost(3, 1.2)
-        h = geo.random_isometry(rng, 3)
+        g0 = spin_boost(1.2)
+        h = random_spin_isometry(rng)
         g = h @ g0 @ h.inverse()
         att, repl = geo.loxodromic_fixed_points(g)
         for p in (att, repl):
-            img = geo.boundary_action(g, p)
-            assert np.max(np.abs(img.direction - p.direction)) < 1e-9
+            img = g.apply_boundary_many(p.direction[None, :])[0]
+            assert np.max(np.abs(img - p.direction)) < 1e-9
         assert np.max(np.abs(att.direction - repl.direction)) > 0.1
+
+    def test_spinless_isometry_rejected(self, rng):
+        g = geo.random_isometry(rng, 3)
+        with pytest.raises(ValueError, match="spin matrix"):
+            geo.translation_length(g)
+        with pytest.raises(ValueError, match="spin matrix"):
+            geo.loxodromic_fixed_points(g)
 
 
 class TestModelConversions:
@@ -209,19 +215,19 @@ class TestTranslationLength:
         assert geo.translation_length(geo.Isometry.identity(3)) == 0.0
 
     def test_axis_translation(self):
-        assert geo.translation_length(boost(3, 2.0)) == \
+        assert geo.translation_length(spin_boost(2.0)) == \
             pytest.approx(2.0, abs=1e-12)
 
     def test_conjugation_invariance(self, rng):
-        g = boost(3, 1.3)
+        g = spin_boost(1.3)
         for _ in range(5):
-            h = geo.random_isometry(rng, 3)
+            h = random_spin_isometry(rng)
             assert geo.translation_length(h @ g @ h.inverse()) == \
                 pytest.approx(1.3, abs=1e-10)
 
     def test_lower_bounds_displacement(self, rng):
         for _ in range(5):
-            g = geo.random_isometry(rng, 3)
+            g = random_spin_isometry(rng)
             ell = geo.translation_length(g)
             for _ in range(10):
                 y = random_ball_point(rng, max_radius=2.0)
@@ -230,8 +236,6 @@ class TestTranslationLength:
     def test_parabolic_classification(self):
         par = geo.psl2_to_lorentz(np.array([[1, 1], [0, 1]], dtype=complex))
         assert geo.translation_length(par) == 0.0
-        # same matrix without the spin shortcut
-        assert geo.translation_length(geo.Isometry(par.lorentz)) == 0.0
 
     def test_elliptic(self):
         rot = geo.psl2_to_lorentz(np.diag([np.exp(0.4j), np.exp(-0.4j)]))
@@ -245,7 +249,7 @@ class TestSpinModel:
             iso = geo.psl2_to_lorentz(A)
             z = complex(*rng.standard_normal(2))
             th = geo.sphere_from_complex(z)
-            lhs = geo.boundary_action(iso, th).direction
+            lhs = iso.apply_boundary_many(th.direction[None, :])[0]
             rhs = geo.sphere_from_complex(geo.mobius_apply(A, z)).direction
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
@@ -258,10 +262,11 @@ class TestSpinModel:
         assert np.array_equal(geo.sphere_from_complex(complex("inf")).direction, [0, 0, 1])
 
     def test_spin_length_matches_lorentz(self):
+        # the axis of z -> 4z passes through the origin, which the Lorentz
+        # matrix moves by exactly the translation length
         g = geo.psl2_to_lorentz(np.diag([2.0 + 0j, 0.5 + 0j]))
         assert geo.translation_length(g) == pytest.approx(2 * np.log(2), abs=1e-12)
-        assert geo.translation_length(geo.Isometry(g.lorentz)) == \
-            pytest.approx(2 * np.log(2), abs=1e-9)
+        assert geo.distance(O3, g.apply(O3)) == pytest.approx(2 * np.log(2), abs=1e-9)
 
 
 class TestNonFinitePoints:

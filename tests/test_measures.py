@@ -52,7 +52,7 @@ class TestSphereQuadrature:
 
 class TestVisualMeasure:
     def test_at_origin_is_raw_rule(self, fam2000):
-        m = visual_measure(fam2000, geo.HPoint.origin(3))
+        m = visual_measure(fam2000, geo.HPoint(np.zeros(3)))
         _, w = fam2000.quadrature()
         assert np.max(np.abs(m.weights - w)) < 1e-15
 
@@ -108,7 +108,7 @@ class TestVisualMeasure:
 
 class TestPushforward:
     def test_identity(self, fam2000):
-        m = visual_measure(fam2000, geo.HPoint.origin(3))
+        m = visual_measure(fam2000, geo.HPoint(np.zeros(3)))
         out = ms.pushforward(m, geo.Isometry.identity(3))
         assert np.allclose(out.points, m.points, atol=1e-15)
         assert np.array_equal(out.weights, m.weights)
@@ -123,7 +123,7 @@ class TestPushforward:
 
     def test_constant_map_gives_dirac(self, fam2000):
         # the image of a constant map: every node's weight on one point
-        m = visual_measure(fam2000, geo.HPoint.origin(3))
+        m = visual_measure(fam2000, geo.HPoint(np.zeros(3)))
         out = ms.BoundaryMeasure(m.weights, np.tile([0.0, 0.0, 1.0], (m.weights.size, 1)))
         top = ms.max_atom_mass(out)
         assert top.mass == pytest.approx(1.0, abs=1e-12)
@@ -148,7 +148,7 @@ class TestMaxAtomMass:
         assert top.mass == 1.0 and np.allclose(top.location.direction, [0, 0, 1])
 
     def test_uniform_quadrature_no_clustering(self, fam2000):
-        m = visual_measure(fam2000, geo.HPoint.origin(3))
+        m = visual_measure(fam2000, geo.HPoint(np.zeros(3)))
         assert ms.max_atom_mass(m).mass <= 2.0 / 2000
 
     def test_two_atoms(self):

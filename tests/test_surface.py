@@ -1,12 +1,12 @@
 """The library carries no code that only its tests reach.
 
-Every top-level function and class of ``src/natmap``, and every method,
-must be named somewhere in the code of ``src/natmap`` or ``perfbench/``,
+Every top-level function, class and constant of ``src/natmap``, and every
+method, must be named somewhere in the code of ``src/natmap`` or ``perfbench/``,
 the benchmark's tests aside, outside its own definition: as a name, an attribute, an imported name, or
 a word of a string constant (the benchmark's tracer looks functions up by
 the names in its strings).  The class tested by ``isinstance`` does not
 count: a type that only its own ``isinstance`` branch names is never
-built.  Dunder methods are exempt.  Code that only a
+built.  Dunder names are exempt.  Code that only a
 test calls belongs in the tests, with ``_oracles`` for reference
 computations.
 """
@@ -45,11 +45,18 @@ def _names(tree: ast.AST) -> Counter:
 
 
 def _definitions(tree: ast.Module):
+    """(name, defining node) of each function, class, method and
+    module-level constant."""
     for node in tree.body:
         if isinstance(node, DEFINITION):
-            yield node
+            yield node.name, node
             if isinstance(node, ast.ClassDef):
-                yield from (sub for sub in node.body if isinstance(sub, DEFINITION))
+                yield from ((sub.name, sub) for sub in node.body
+                            if isinstance(sub, DEFINITION))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((sub.id, node) for target in targets
+                        for sub in ast.walk(target) if isinstance(sub, ast.Name))
 
 
 def unnamed_definitions() -> list[str]:
@@ -62,10 +69,10 @@ def unnamed_definitions() -> list[str]:
     for path, tree in trees.items():
         if path.parent != LIBRARY:
             continue
-        for node in _definitions(tree):
-            dunder = node.name.startswith("__") and node.name.endswith("__")
-            if not dunder and named[node.name] <= _names(node)[node.name]:
-                out.append(f"{path.stem}.{node.name}")
+        for name, node in _definitions(tree):
+            dunder = name.startswith("__") and name.endswith("__")
+            if not dunder and named[name] <= _names(node)[name]:
+                out.append(f"{path.stem}.{name}")
     return out
 
 

@@ -8,6 +8,11 @@ from natmap import triangulation as tr
 import _oracles as oracles
 
 Z0 = tr.FIG8_COMPLETE_SHAPE
+# peripheral words of the two-generator reduction (a = deck transformation
+# of gluing (0,1), b = of gluing (0,2); both parabolic at the complete
+# structure)
+MERIDIAN = "a"
+LONGITUDE = "BabAAbaB"
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +138,7 @@ class TestHolonomy:
         assert rep.relator_residual(rep.relators[0]) <= 1e-8
         for g in rep.generators:
             assert geo.translation_length(g) <= 1e-6
-        for word in (tr.FIG8_MERIDIAN, tr.FIG8_LONGITUDE):
+        for word in (MERIDIAN, LONGITUDE):
             # parabolic: real trace +-2 but not +-I
             A = rep.evaluate(word).spin
             A = A / cmath.sqrt(complex(np.linalg.det(A)))
@@ -145,8 +150,8 @@ class TestHolonomy:
     def test_cusp_modulus(self, tri):
         # the longitude-to-meridian translation ratio of the cusp lattice
         rep = tr.holonomy_from_shapes(tri, [Z0, Z0])
-        a = rep.evaluate(tr.FIG8_MERIDIAN).spin
-        l = rep.evaluate(tr.FIG8_LONGITUDE).spin
+        a = rep.evaluate(MERIDIAN).spin
+        l = rep.evaluate(LONGITUDE).spin
         a = a / cmath.sqrt(complex(np.linalg.det(a)))
         l = l / cmath.sqrt(complex(np.linalg.det(l)))
         p = (a[0, 0] - a[1, 1]) / (2 * a[1, 0])
@@ -206,7 +211,7 @@ class TestHolonomy:
 class TestCuspRows:
     def test_rows_track_peripheral_eigenvalues(self, tri):
         path = tr.deformation_path(tri, steps=10, t_end=0.6)
-        for word, row_idx in ((tr.FIG8_MERIDIAN, 0), (tr.FIG8_LONGITUDE, 1)):
+        for word, row_idx in ((MERIDIAN, 0), (LONGITUDE, 1)):
             for st in path[2::3]:
                 # squared dominant eigenvalue of the unit-determinant spin
                 A = st.representation.evaluate(word).spin
