@@ -91,8 +91,7 @@ def _initial_guess(beta: BoundaryMeasure) -> np.ndarray:
 
 
 def barycenter(beta: BoundaryMeasure,
-               cfg: SolverConfig | None = None,
-               initial: HPoint | None = None) -> BarycenterResult:
+               cfg: SolverConfig | None = None) -> BarycenterResult:
     """Barycenter of a boundary probability measure.
 
     Raises TwoEqualAtomsError for the excluded two-equal-Diracs case and
@@ -113,7 +112,7 @@ def barycenter(beta: BoundaryMeasure,
                 "measure is two Dirac masses of equal weight 1/2")
         return BarycenterResult(clusters.location, "boundary-atom", float("inf"), 0)
 
-    y = initial.coords.copy() if initial is not None else _initial_guess(beta)
+    y = _initial_guess(beta)
     degenerate = False
     val = None                        # phi(y), computed when a damped step reads it
     for it in range(1, cfg.max_iterations + 1):

@@ -23,7 +23,6 @@ from . import criteria, spd
 from .barycenter import SolverConfig
 from .geometry import HPoint, random_isometry
 from .measures import VisualFamily, atomic_measure
-from .natural_map import diagnostics_to_csv
 from .triangulation import (FIG8_VOLUME, deformation_path, figure_eight,
                             sample_gluing_variety)
 
@@ -91,7 +90,7 @@ def cmd_psi_scan(args) -> int:
               file=sys.stderr)
         return 2
     rng = np.random.default_rng(args.seed)
-    rep.check("psi_at_center", abs(spd.psi(spd.TraceOneSPD.isotropic(k)) - spd.psi_max(k)),
+    rep.check("psi_at_center", abs(spd.psi(np.eye(k) / k) - spd.psi_max(k)),
               1e-14, budget="closed-form determinants")
     H = spd.random_trace_one_spd(rng, k, args.samples)
     vals = spd.psi(H)
@@ -271,10 +270,17 @@ def cmd_rigidity_report(args) -> int:
     path = deformation_path(figure_eight(), steps=args.steps)
     probes = _ball_probes(np.random.default_rng(args.seed), 4, 0.1, 0.5)
     diag = criteria.path_diagnostics(path, VisualFamily(3, args.nodes), probes)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "rigidity-report.csv").write_text(diagnostics_to_csv(diag.rows),
-                                                 encoding="utf-8")
+    rows = []
+    for r in diag.rows:
+        lens = ";".join(f"{v:.12g}" for v in r.translation_lengths)
+        rows.append(f"{r.parameter:.12g},{r.probe_index},{r.jac:.12g},{r.h_deviation:.12g},"
+                    f"{r.h_lambda_max:.12g},{r.h_eigen_dev:.12g},{r.df_norm:.12g},"
+                    f"{r.lipschitz:.12g},{lens},{r.volume:.12g},{r.volume_deficit:.12g},"
+                    f"{int(r.approximate_boundary_map)}")
+    _write_csv(Path(args.out), "rigidity-report.csv",
+               "parameter,probe_index,jac,H_dev,H_lambda_max,H_eigen_dev,DF_norm,"
+               "lipschitz,translation_lengths,volume,volume_deficit,approximate_D",
+               rows)
     for name, ok in zip(("H_deviation_monotone", "jac_deviation_monotone",
                          "deficit_monotone"), diag.monotone):
         rep.note(name, ok)

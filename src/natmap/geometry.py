@@ -1,9 +1,12 @@
 """Models of real hyperbolic space H^k with numerical coordinates.
 
 Points and Busemann calculus live in the Poincare ball (closed forms are
-best conditioned there); isometries are stored as Lorentz matrices acting
-on the hyperboloid (composition is numerically stable there).  Conversions
-between the two charts are explicit and exact.
+best conditioned there); isometries are Lorentz matrices acting on the
+hyperboloid.  Conversions between the two charts are explicit and exact.
+For k = 3 a holonomy is composed from 2x2 complex matrices in SL(2,C),
+whose long products round far less than 4x4 ones; translation lengths and
+fixed points are read from those matrices, and ``psl2_to_lorentz`` gives
+the Lorentz matrix of one.
 
 Conventions
 -----------
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import expm
@@ -184,16 +186,9 @@ def _log_chart(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Isometry:
-    """Element of Isom(H^k) stored as a Lorentz matrix in O(k,1).
-
-    For k = 3 a unit-determinant 2x2 complex spin matrix may be attached;
-    translation lengths and fixed points are computed from it alone, which
-    stays accurate for parabolic elements where the eigenvalues of the
-    defective 4x4 matrix do not.
-    """
+    """Element of Isom(H^k) stored as a Lorentz matrix in O(k,1)."""
 
     lorentz: np.ndarray
-    spin: Optional[np.ndarray] = None
 
     def __post_init__(self):
         g = np.asarray(self.lorentz, dtype=float)
@@ -208,8 +203,6 @@ class Isometry:
             raise ValueError("matrix does not preserve the Lorentz form")
         if g[0, 0] <= 0:
             raise ValueError("matrix swaps the hyperboloid sheets")
-        if self.spin is not None:
-            object.__setattr__(self, "spin", np.asarray(self.spin, dtype=complex))
 
     @property
     def dimension(self) -> int:
@@ -217,35 +210,7 @@ class Isometry:
 
     @staticmethod
     def identity(k: int) -> "Isometry":
-        return Isometry(np.eye(k + 1), np.eye(2, dtype=complex) if k == 3 else None)
-
-    @staticmethod
-    def _raw(lorentz: np.ndarray, spin) -> "Isometry":
-        # group operations of validated isometries stay in the group
-        # mathematically; skipping re-validation avoids spurious failures
-        # from rounding in long products with large intermediate entries
-        obj = object.__new__(Isometry)
-        object.__setattr__(obj, "lorentz", lorentz)
-        object.__setattr__(obj, "spin", spin)
-        return obj
-
-    def compose(self, other: "Isometry") -> "Isometry":
-        if self.dimension != other.dimension:
-            raise DimensionMismatchError("isometries of different dimension")
-        spin = None
-        if self.spin is not None and other.spin is not None:
-            spin = self.spin @ other.spin
-        return Isometry._raw(self.lorentz @ other.lorentz, spin)
-
-    def __matmul__(self, other: "Isometry") -> "Isometry":
-        return self.compose(other)
-
-    def inverse(self) -> "Isometry":
-        # J g^T J is the exact Lorentz inverse; cheaper and better
-        # conditioned than a generic matrix inverse.
-        J = minkowski(self.dimension + 1)
-        spin = adjugate(self.spin) if self.spin is not None else None
-        return Isometry._raw(J @ self.lorentz.T @ J, spin)
+        return Isometry(np.eye(k + 1))
 
     def apply(self, x: HPoint) -> HPoint:
         if x.dimension != self.dimension:
@@ -278,23 +243,26 @@ def random_isometry(rng: np.random.Generator, k: int,
 # translation length and fixed points
 # ---------------------------------------------------------------------------
 
-def translation_length(g: Isometry) -> float:
-    """inf_y d(gy, y) from the trace of the spin matrix; zero for elliptic
-    and parabolic isometries."""
-    if g.spin is None:
-        raise ValueError("translation lengths need the spin matrix of a k = 3 isometry")
-    tr = complex(np.trace(g.spin)) / cmath.sqrt(complex(np.linalg.det(g.spin)))
+def translation_length(A: np.ndarray) -> float:
+    """inf_y d(gy, y) of the isometry g of H^3 with 2x2 complex matrix A,
+    from its trace; zero for elliptic and parabolic isometries."""
+    tr = complex(np.trace(A)) / cmath.sqrt(complex(np.linalg.det(A)))
     ell = 2.0 * abs(cmath.acosh(tr / 2.0).real)
     return ell if ell > 1e-12 else 0.0
 
 
-def loxodromic_fixed_points(g: Isometry) -> tuple[BoundaryPoint, BoundaryPoint]:
-    """(attracting, repelling) ideal fixed points of a loxodromic isometry,
-    from the eigenvectors of its spin matrix."""
-    if g.spin is None:
-        raise ValueError("fixed points need the spin matrix of a k = 3 isometry")
-    att, rep = _spin_fixed_points(g.spin)
-    return sphere_from_complex(att), sphere_from_complex(rep)
+def loxodromic_fixed_points(A: np.ndarray) -> tuple[BoundaryPoint, BoundaryPoint]:
+    """(attracting, repelling) ideal fixed points of the loxodromic isometry
+    of H^3 with 2x2 complex matrix A, from its eigenvectors."""
+    A = np.asarray(A, dtype=complex)
+    A = A / cmath.sqrt(complex(np.linalg.det(A)))
+    vals, vecs = np.linalg.eig(A)
+    order = np.argsort(np.abs(vals))
+    pts = []
+    for j in (order[-1], order[0]):
+        v = vecs[:, j]
+        pts.append(v[0] / v[1] if abs(v[1]) > 1e-14 * abs(v[0]) else cmath.inf)
+    return sphere_from_complex(pts[0]), sphere_from_complex(pts[1])
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +291,7 @@ def psl2_to_lorentz(A: np.ndarray) -> Isometry:
         for nu in range(4):
             L[mu, nu] = 0.5 * np.real(
                 np.trace(_PAULI[mu] @ A @ _PAULI[nu] @ A.conj().T))
-    return Isometry(L, A)
+    return Isometry(L)
 
 
 def sphere_from_complex(z: complex) -> BoundaryPoint:
@@ -356,15 +324,3 @@ def mobius_apply(A: np.ndarray, z: complex) -> complex:
         return cmath.inf
     return num / den
 
-
-def _spin_fixed_points(A: np.ndarray) -> tuple[complex, complex]:
-    """(attracting, repelling) fixed points on C u {inf} of a loxodromic."""
-    A = np.asarray(A, dtype=complex)
-    A = A / cmath.sqrt(complex(np.linalg.det(A)))
-    vals, vecs = np.linalg.eig(A)
-    order = np.argsort(np.abs(vals))
-    pts = []
-    for j in (order[-1], order[0]):
-        v = vecs[:, j]
-        pts.append(v[0] / v[1] if abs(v[1]) > 1e-14 * abs(v[0]) else cmath.inf)
-    return pts[0], pts[1]

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import spd
-from .barycenter import BarycenterResult, SolverConfig, barycenter
+from .barycenter import BarycenterResult, barycenter
 from .geometry import (
     HPoint,
     Isometry,
@@ -62,16 +62,15 @@ _LETTERS = "abcdefgh"
 
 @dataclass(frozen=True)
 class Representation:
-    """Group representation into PSL(2,C): named generator isometries of
-    H^3, each carrying its spin matrix, plus relator words.
+    """Group representation into PSL(2,C): the generators as 2x2 complex
+    matrices of unit determinant, plus relator words.
 
     Words use one lowercase letter per generator, uppercase for its
     inverse ('abAB' is a b a^-1 b^-1).
     """
 
-    generators: tuple[Isometry, ...]
+    generators: tuple[np.ndarray, ...]
     relators: tuple[str, ...]
-    source_dim: int
     # source half of the orbit tables built from this representation, by
     # max_word_length; see ``_orbit_table_source``
     _orbit_sources: dict = field(default_factory=dict, init=False,
@@ -80,33 +79,24 @@ class Representation:
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "relators", tuple(self.relators))
-        if any(g.spin is None for g in self.generators):
-            raise ValueError("representations need the spin matrices of k = 3 generators")
         for r in self.relators:
             res = self.relator_residual(r)
             if res > RELATOR_TOL:
                 raise ValueError(f"relator '{r}' fails by {res:.2e}")
 
-    @property
-    def target_dim(self) -> int:
-        return self.generators[0].dimension
-
-    def generator(self, letter: str) -> Isometry:
-        idx = _LETTERS.index(letter.lower())
-        g = self.generators[idx]
-        return g.inverse() if letter.isupper() else g
-
-    def evaluate(self, word: str) -> Isometry:
-        out = Isometry.identity(self.target_dim)
+    def evaluate(self, word: str) -> np.ndarray:
+        """The 2x2 matrix of a word, multiplied out letter by letter."""
+        out = np.eye(2)
         for ch in word:
-            out = out @ self.generator(ch)
+            g = self.generators[_LETTERS.index(ch.lower())]
+            out = out @ (adjugate(g) if ch.isupper() else g)
         return out
 
     def relator_residual(self, word: str) -> float:
         # convert the 2x2 product once: the long 4x4 chain amplifies
-        # rounding quadratically in the entry size, the spin chain not
-        lorentz = psl2_to_lorentz(self.evaluate(word).spin).lorentz
-        return float(np.max(np.abs(lorentz - np.eye(self.target_dim + 1))))
+        # rounding quadratically in the entry size, the 2x2 chain not
+        lorentz = psl2_to_lorentz(self.evaluate(word)).lorentz
+        return float(np.max(np.abs(lorentz - np.eye(4))))
 
     def _orbit_table_source(self, max_word_length: int):
         """The source half of ``OrbitBoundaryMap.build``, computed once per
@@ -144,10 +134,10 @@ def _reduced_word_tree(n_generators: int, max_length: int):
 
 
 def _word_spins(rep: Representation, levels) -> np.ndarray:
-    """(n, 2, 2) spin matrices of the words of ``_reduced_word_tree``,
-    each the product of its prefix's matrix with its last letter's, as
-    ``Representation.evaluate`` composes them."""
-    letters = np.stack([s for g in rep.generators for s in (g.spin, adjugate(g.spin))])
+    """(n, 2, 2) matrices of the words of ``_reduced_word_tree``, each
+    the product of its prefix's matrix with its last letter's, as
+    ``Representation.evaluate`` multiplies them."""
+    letters = np.stack([s for g in rep.generators for s in (g, adjugate(g))])
     mats, out = None, [np.empty((0, 2, 2), dtype=complex)]
     for parent, letter in levels:
         mats = letters[letter] if parent is None else mats[parent] @ letters[letter]
@@ -322,10 +312,9 @@ class PushedFamily:
         return BoundaryMeasure(self.weights_at(x), self.images)
 
 
-def _solve_barycenter(pushed: PushedFamily, x: np.ndarray,
-                      cfg: SolverConfig | None) -> BarycenterResult:
+def _solve_barycenter(pushed: PushedFamily, x: np.ndarray) -> BarycenterResult:
     beta = pushed.measure_at(x)
-    res = barycenter(beta, cfg)
+    res = barycenter(beta)
     if res.kind != "interior":
         # far from the origin the density is narrower than the node spacing
         top = float(beta.weights.max())
@@ -339,10 +328,10 @@ def _solve_barycenter(pushed: PushedFamily, x: np.ndarray,
 
 
 def natural_map(rho: Representation | None, D, family: VisualFamily,
-                x: HPoint, cfg: SolverConfig | None = None) -> HPoint:
+                x: HPoint) -> HPoint:
     """F(x): barycenter of the pushforward under D of the visual measure at x."""
     pushed = D if isinstance(D, PushedFamily) else PushedFamily(D, family)
-    return _solve_barycenter(pushed, x.coords, cfg).location
+    return _solve_barycenter(pushed, x.coords).location
 
 
 @dataclass(frozen=True)
@@ -362,12 +351,11 @@ class OperatorPair:
 
 
 def operators_at(rho: Representation | None, D, family: VisualFamily,
-                 x: HPoint, cfg: SolverConfig | None = None,
-                 image: HPoint | None = None) -> OperatorPair:
+                 x: HPoint, image: HPoint | None = None) -> OperatorPair:
     pushed = D if isinstance(D, PushedFamily) else PushedFamily(D, family)
     xc = x.coords
     if image is None:
-        image = _solve_barycenter(pushed, xc, cfg).location
+        image = _solve_barycenter(pushed, xc).location
     w = pushed.weights_at(xc)
     b = busemann_gradients_frame(image.coords, pushed.images)
     H = np.einsum("i,ij,il->jl", w, b, b)
@@ -390,7 +378,7 @@ class JacobianResult:
 
 
 def _finite_difference_DF(pushed: PushedFamily, x: np.ndarray,
-                          image: HPoint, cfg: SolverConfig | None) -> np.ndarray:
+                          image: HPoint) -> np.ndarray:
     k = x.size
     lam_f = conformal_factor(image.coords)
     chart_scale = (1.0 - float(np.dot(x, x))) / 2.0
@@ -398,16 +386,15 @@ def _finite_difference_DF(pushed: PushedFamily, x: np.ndarray,
     for i in range(k):
         step = np.zeros(k)
         step[i] = FD_STEP * chart_scale
-        fp = _solve_barycenter(pushed, _exp_chart(x, step), cfg).location
-        fm = _solve_barycenter(pushed, _exp_chart(x, -step), cfg).location
+        fp = _solve_barycenter(pushed, _exp_chart(x, step)).location
+        fm = _solve_barycenter(pushed, _exp_chart(x, -step)).location
         diff = _log_chart(image.coords, fp.coords) - _log_chart(image.coords, fm.coords)
         cols.append(lam_f * diff / (2.0 * FD_STEP))
     return np.column_stack(cols)
 
 
 def jacobian(rho: Representation | None, D, family: VisualFamily, x: HPoint,
-             method: str = "implicit", cfg: SolverConfig | None = None,
-             pair: OperatorPair | None = None) -> JacobianResult:
+             method: str = "implicit", pair: OperatorPair | None = None) -> JacobianResult:
     """Differential of the natural map in orthonormal frames, plus Jac_k.
 
     'implicit' solves K DF = (k-1) L from the differentiated stationarity
@@ -419,14 +406,14 @@ def jacobian(rho: Representation | None, D, family: VisualFamily, x: HPoint,
         raise ValueError(f"unknown method '{method}'")
     pushed = D if isinstance(D, PushedFamily) else PushedFamily(D, family)
     if pair is None:
-        pair = operators_at(rho, pushed, family, x, cfg)
+        pair = operators_at(rho, pushed, family, x)
     kmin = float(np.linalg.eigvalsh(pair.K)[0])
     k = family.dimension
     fell_back = method == "implicit" and kmin < K_CONDITION_FLOOR
     if method == "implicit" and not fell_back:
         DF = (k - 1) * np.linalg.solve(pair.K, pair.L)
     else:
-        DF = _finite_difference_DF(pushed, x.coords, pair.image, cfg)
+        DF = _finite_difference_DF(pushed, x.coords, pair.image)
         method = "finite-difference"
     sv = np.linalg.svd(DF, compute_uv=False)
     return JacobianResult(DF, float(np.prod(sv[:k])), method, kmin, fell_back=fell_back)
@@ -489,8 +476,7 @@ class DiagnosticsRow:
 
 
 def convergence_diagnostics(entries, family: VisualFamily, probes,
-                            reference_volume: float,
-                            cfg: SolverConfig | None = None) -> list[DiagnosticsRow]:
+                            reference_volume: float) -> list[DiagnosticsRow]:
     """Tabulate natural-map diagnostics along a family of representations.
 
     ``entries`` yields (parameter, representation, boundary_map, volume).
@@ -505,8 +491,8 @@ def convergence_diagnostics(entries, family: VisualFamily, probes,
         lengths = tuple(float(translation_length(g)) for g in rep.generators)
         images = []
         for i, p in enumerate(probes):
-            pair = operators_at(rep, pushed, family, p, cfg)
-            jac = jacobian(rep, pushed, family, p, "implicit", cfg, pair=pair)
+            pair = operators_at(rep, pushed, family, p)
+            jac = jacobian(rep, pushed, family, p, "implicit", pair=pair)
             images.append((p, pair.image))
             m = pair.H.shape[0]
             eigs = np.linalg.eigvalsh(pair.H)
@@ -521,17 +507,3 @@ def convergence_diagnostics(entries, family: VisualFamily, probes,
                 getattr(D, "approximate", False)))
     return rows
 
-
-def diagnostics_to_csv(rows) -> str:
-    header = ("parameter,probe_index,jac,H_dev,H_lambda_max,H_eigen_dev,"
-              "DF_norm,lipschitz,translation_lengths,volume,volume_deficit,"
-              "approximate_D")
-    lines = [header]
-    for r in rows:
-        lens = ";".join(f"{v:.12g}" for v in r.translation_lengths)
-        lines.append(
-            f"{r.parameter:.12g},{r.probe_index},{r.jac:.12g},{r.h_deviation:.12g},"
-            f"{r.h_lambda_max:.12g},{r.h_eigen_dev:.12g},"
-            f"{r.df_norm:.12g},{r.lipschitz:.12g},{lens},{r.volume:.12g},"
-            f"{r.volume_deficit:.12g},{int(r.approximate_boundary_map)}")
-    return "\n".join(lines) + "\n"

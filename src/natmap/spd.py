@@ -15,41 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SYM_TOL = 1e-12
-TRACE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class TraceOneSPD:
-    """Symmetric positive definite matrix with unit trace."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("need a square matrix")
-        if np.max(np.abs(m - m.T)) > SYM_TOL:
-            raise ValueError("matrix is not symmetric")
-        if abs(np.trace(m) - 1.0) > TRACE_TOL:
-            raise ValueError("trace must equal 1")
-        if np.min(np.linalg.eigvalsh(m)) <= 0.0:
-            raise ValueError("matrix must be positive definite")
-
-    @staticmethod
-    def isotropic(k: int) -> "TraceOneSPD":
-        return TraceOneSPD(np.eye(k) / k)
-
-
 def psi_max(k: int) -> float:
     """Supremum (k/(k-1)^2)^k of psi on trace-one SPD matrices, k >= 3."""
     return (k / (k - 1) ** 2) ** k
 
 
 def psi(H) -> float | np.ndarray:
-    """det(H) / det(I - H)^2 for a TraceOneSPD or a (..., k, k) array."""
-    m = H.matrix if isinstance(H, TraceOneSPD) else np.asarray(H, dtype=float)
+    """det(H) / det(I - H)^2 for a (..., k, k) array."""
+    m = np.asarray(H, dtype=float)
     k = m.shape[-1]
     val = np.linalg.det(m) / np.linalg.det(np.eye(k) - m) ** 2
     return float(val) if np.ndim(val) == 0 else val
@@ -204,16 +177,16 @@ def boundary_bound_scan(k: int, margin: float, samples: int,
                       bool(ratio[top] <= threshold))
 
 
-def edge_limit_values(alpha: float,
-                      distances=(1e-4, 1e-5, 1e-6, 1e-7, 1e-8)) -> tuple[np.ndarray, float]:
-    """k = 3 Psi along an approach to the non-vertex boundary point (alpha, 0, 1-alpha).
+def edge_limit_values(alpha: float) -> tuple[np.ndarray, float]:
+    """k = 3 Psi along an approach to the non-vertex boundary point
+    (alpha, 0, 1-alpha), at distances 1e-4 down to 1e-8.
 
     Returns the sampled values and the Richardson-extrapolated limit
     (Psi vanishes linearly in the approach distance).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must avoid the vertices")
-    d = np.asarray(distances, dtype=float)
+    d = np.array([1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
     pts = np.column_stack([np.full(d.size, alpha) - d / 2, d, 1.0 - alpha - d / 2])
     vals = psi_simplex(pts)
     # linear model vals = L + c d  ->  extrapolated limit

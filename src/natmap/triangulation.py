@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import adjugate, mobius_apply, psl2_to_lorentz
+from .geometry import adjugate, mobius_apply
 from .natural_map import _LETTERS, Representation
 
 TWO_PI_I = 2j * np.pi
@@ -298,28 +298,28 @@ class Developed:
     """Fundamental-set placements and face-pairing deck transformations."""
 
     placements: tuple            # per tet: developed vertex positions
-    placement_maps: tuple        # per tet: Mobius from normalized positions
     generators: dict             # non-tree gluing key -> unit-det 2x2 matrix
-    tree_gluing: tuple
 
 
-def develop(tri: IdealTriangulation, shapes, base_tet: int = 0) -> Developed:
+def develop(tri: IdealTriangulation, shapes) -> Developed:
     """Develop one fundamental set and the face-pairing transformations.
 
-    A spanning tree of the face-pairing graph places every tetrahedron
-    once; each remaining gluing G contributes the deck transformation
-    identifying the far copy with its fundamental placement.
+    Tetrahedron 0 sits at its normalized positions, and a spanning tree of
+    the face-pairing graph places every other tetrahedron once; each
+    remaining gluing G contributes the deck transformation identifying the
+    far copy with its fundamental placement.
     """
     z = np.asarray(shapes, dtype=complex)
     if np.any(np.abs(z) < 1e-10) or np.any(np.abs(1.0 - z) < 1e-10):
         raise DevelopingFailureError("shapes too close to a degenerate tetrahedron")
-    placements = {base_tet: _normalized_positions(z[base_tet])}
-    maps = {base_tet: np.eye(2, dtype=complex)}
-    tree = []
-    frontier = [base_tet]
+    placements = {0: _normalized_positions(z[0])}
+    maps = {0: np.eye(2, dtype=complex)}
+    tree_keys = set()
+    frontier = [0]
     while frontier:
         # expand through the canonically smallest gluing to an unplaced tet,
-        # so the spanning tree (hence the generator set) is base independent
+        # so the spanning tree (hence the generator set) does not depend on
+        # the order in which the frontier grows
         options = []
         for t in frontier:
             for f in range(4):
@@ -333,11 +333,10 @@ def develop(tri: IdealTriangulation, shapes, base_tet: int = 0) -> Developed:
         pos, A = _place_through_face(placements[t], f, perm, z[t2])
         placements[t2] = pos
         maps[t2] = A
-        tree.append(((t, f), (t2, f2)))
+        tree_keys.update(((t, f), (t2, f2)))
         frontier.append(t2)
     generators = {}
     seen = set()
-    tree_keys = {k for pair in tree for k in pair}
     for (t, f), (t2, f2, perm) in tri.gluings.items():
         if (t, f) in tree_keys or (t, f) in seen or (t2, f2) in seen:
             continue
@@ -348,9 +347,7 @@ def develop(tri: IdealTriangulation, shapes, base_tet: int = 0) -> Developed:
         gamma = A @ adjugate(maps[t2])
         generators[(t, f)] = _normalize_det(gamma)
     return Developed(tuple(placements[t] for t in range(tri.num_tetrahedra)),
-                     tuple(maps[t] for t in range(tri.num_tetrahedra)),
-                     generators,
-                     tuple(tree))
+                     generators)
 
 
 def edge_cycle_word(tri: IdealTriangulation, developed: Developed,
@@ -483,8 +480,7 @@ def _substitute(word, key, replacement):
     return out
 
 
-def holonomy_from_shapes(tri: IdealTriangulation, shapes,
-                         base_tet: int = 0) -> Representation:
+def holonomy_from_shapes(tri: IdealTriangulation, shapes) -> Representation:
     """Holonomy representation developed from an edge-equation solution
     (edge residual at most 1e-8).
 
@@ -497,7 +493,7 @@ def holonomy_from_shapes(tri: IdealTriangulation, shapes,
     res = gluing_residual(tri, z)
     if res.max_edge() > 1e-8:
         raise ValueError(f"edge residual {res.max_edge():.2e} exceeds 1e-8")
-    dev = develop(tri, z, base_tet)
+    dev = develop(tri, z)
     relator_words = []
     for cls in tri.edge_classes:
         w = _free_reduce(edge_cycle_word(tri, dev, cls[0]))
@@ -507,10 +503,10 @@ def holonomy_from_shapes(tri: IdealTriangulation, shapes,
     if len(keys) > len(_LETTERS):
         raise DevelopingFailureError("too many surviving generators")
     letter_of = {kk: _LETTERS[i] for i, kk in enumerate(keys)}
-    gens = tuple(psl2_to_lorentz(dev.generators[kk]) for kk in keys)
+    gens = tuple(_normalize_det(dev.generators[kk]) for kk in keys)
     words = tuple("".join(letter_of[kk] if s > 0 else letter_of[kk].upper()
                           for (kk, s) in r) for r in rels)
-    return Representation(gens, words, 3)
+    return Representation(gens, words)
 
 
 # ---------------------------------------------------------------------------

@@ -38,13 +38,12 @@ def visual_measure(family, x):
 
 
 def spin_boost(length):
-    """Translation of H^3 by ``length`` along the axis from the south to the
-    north pole (the Mobius map z -> e^length z), with its spin matrix."""
-    from natmap.geometry import psl2_to_lorentz
-    return psl2_to_lorentz(np.diag([np.exp(length / 2), np.exp(-length / 2)]))
+    """Spin matrix of the translation of H^3 by ``length`` along the axis
+    from the south to the north pole (the Mobius map z -> e^length z)."""
+    return np.diag([np.exp(length / 2), np.exp(-length / 2)]).astype(complex)
 
 
 def random_spin_isometry(rng):
-    """Isometry of H^3 from a random 2x2 complex matrix, with its spin matrix."""
-    from natmap.geometry import psl2_to_lorentz
-    return psl2_to_lorentz(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    """Random 2x2 complex matrix of unit determinant."""
+    A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    return A / np.sqrt(np.linalg.det(A))

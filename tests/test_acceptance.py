@@ -52,7 +52,7 @@ def path_diagnostics(fig8_full_path):
 
 def test_criterion_01_psi_maximum():
     t0 = time.time()
-    center_err = abs(spd.psi(spd.TraceOneSPD.isotropic(3)) - 27 / 64)
+    center_err = abs(spd.psi(np.eye(3) / 3) - 27 / 64)
     ok = center_err <= 1e-14
     rng = np.random.default_rng(11)
     worst = {}
@@ -77,8 +77,7 @@ def test_criterion_02_boundary_vertex_analysis():
     small = spd.boundary_bound_scan(3, 1e-4, 10_000, seed=1)
     small_max = max(small.max_value, oracles.collar_supremum_golden(1e-4))
     vertex_limit_ok = small_max <= 0.2501
-    limits = [spd.edge_limit_values(a, distances=(1e-4, 1e-5, 1e-6, 1e-7, 1e-8))[1]
-              for a in (0.2, 0.35, 0.5, 0.65, 0.8)]
+    limits = [spd.edge_limit_values(a)[1] for a in (0.2, 0.35, 0.5, 0.65, 0.8)]
     edges_ok = max(abs(v) for v in limits) <= 1e-4
     vertex = spd.boundary_bound_scan(4, 2.5e-3, 10_000, seed=1)
     vertex_ok = vertex.max_value <= 1.01

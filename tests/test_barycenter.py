@@ -242,13 +242,6 @@ class TestBarycenter:
         assert isinstance(err.value.best, geo.HPoint)
         assert err.value.gradient_norm > 0
 
-    def test_restart_independence(self, rng):
-        for _ in range(5):
-            m = random_spread_measure(rng)
-            a = bc.barycenter(m, initial=random_ball_point(rng)).location
-            b = bc.barycenter(m, initial=random_ball_point(rng)).location
-            assert geo.distance(a, b) <= 1e-8
-
     def test_grid_oracle_agreement_h2_h3(self, rng):
         for k in (2, 3):
             for _ in range(4):

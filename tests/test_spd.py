@@ -8,7 +8,7 @@ import _oracles as oracles
 
 class TestPsi:
     def test_maximum_value(self):
-        assert spd.psi(spd.TraceOneSPD.isotropic(3)) == pytest.approx(
+        assert spd.psi(np.eye(3) / 3) == pytest.approx(
             27 / 64, abs=1e-14)
         assert spd.psi_max(3) == 27 / 64
 
@@ -54,10 +54,6 @@ class TestPsiSimplex:
             a = rng.dirichlet(np.ones(4))
             b = rng.permutation(a)
             assert spd.psi_simplex(a) == pytest.approx(spd.psi_simplex(b), rel=1e-14)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            spd.TraceOneSPD(np.diag([0.5, 0.6, -0.1]))
 
 
 class TestRandomSampler:

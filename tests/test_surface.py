@@ -9,11 +9,18 @@ count: a type that only its own ``isinstance`` branch names is never
 built.  Dunder names are exempt.  Code that only a
 test calls belongs in the tests, with ``_oracles`` for reference
 computations.
+
+Nor does it carry options that no caller sets: every defaulted parameter
+of a function or method of ``src/natmap`` must be passed, by keyword or by
+position, in some call in the same code, matched by the callee's name (a
+class name for ``__init__``).  A call with ``*args`` or ``**kwargs`` counts
+as passing every position or keyword.  An option only a test sets is a
+constant.
 """
 
 import ast
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,11 +66,15 @@ def _definitions(tree: ast.Module):
                         for sub in ast.walk(target) if isinstance(sub, ast.Name))
 
 
-def unnamed_definitions() -> list[str]:
+def _user_trees() -> dict:
     # the benchmark's own tests do not count as users
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for root in USERS for path in sorted(root.glob("*.py"))
-             if not path.name.startswith("test_")}
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for root in USERS for path in sorted(root.glob("*.py"))
+            if not path.name.startswith("test_")}
+
+
+def unnamed_definitions() -> list[str]:
+    trees = _user_trees()
     named = sum((_names(tree) for tree in trees.values()), Counter())
     out = []
     for path, tree in trees.items():
@@ -80,3 +91,57 @@ def test_every_definition_is_named_outside_itself():
     unnamed = unnamed_definitions()
     assert not unnamed, (f"{len(unnamed)} definitions named nowhere in the library "
                          f"or the benchmark: {', '.join(unnamed)}")
+
+
+def _functions(tree: ast.Module):
+    """(callee name, number of leading parameters a call binds implicitly,
+    definition) of each top-level function and method."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, functions):
+            yield node.name, 0, node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, functions):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in sub.decorator_list)
+                    name = node.name if sub.name == "__init__" else sub.name
+                    yield name, 0 if static else 1, sub
+
+
+def never_set_parameters() -> list[str]:
+    trees = _user_trees()
+    # callee name -> (positional argument count, keyword names) per call;
+    # None stands for a ** argument
+    calls = defaultdict(list)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                calls[name].append((float("inf") if starred else len(node.args),
+                                    {k.arg for k in node.keywords}))
+    out = []
+    for path, tree in trees.items():
+        if path.parent != LIBRARY:
+            continue
+        for name, bound, node in _functions(tree):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i, positional[i].arg) for i in range(first, len(positional))]
+            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            for index, param in defaulted:
+                if not any(param in kws or None in kws
+                           or (index is not None and n + bound > index)
+                           for n, kws in calls[name]):
+                    out.append(f"{path.stem}.{node.name}({param})")
+    return out
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    unset = never_set_parameters()
+    assert not unset, (f"{len(unset)} defaulted parameters that no call in the library "
+                       f"or the benchmark sets: {', '.join(unset)}")
