@@ -361,7 +361,9 @@ def main(argv=None) -> int:
                         print(f"config error: {key}: {exc}", file=sys.stderr)
                         return 2
                 setattr(args, key, value)
-    return args.func(args)
+    # looked up by name at call time, so a rebinding of natmap.cli.cmd_*
+    # after the parser was built (a tracer's wrapper) is the one that runs
+    return globals()[args.func.__name__](args)
 
 
 if __name__ == "__main__":

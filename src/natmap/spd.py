@@ -114,14 +114,28 @@ def _collar_samples_k3(rng: np.random.Generator, margin: float, n: int) -> np.nd
     family (y, y, 1-2y) and the ridge (y, b*(y), 1-y-b*(y)) on which the
     collar supremum lies, so the scan reaches that supremum to within
     about margin * 1e-6 / 2.
+
+    The rejection half costs about n / (12 margin) Dirichlet rows: each
+    batch of 4n keeps about 6 margin of its rows, so 8.3 M rows at margin
+    1e-3 with n = 100,000, and again at margin 1e-4 with n = 10,000.  The
+    rows are tested column by column with elementwise minima and maxima
+    into one reused buffer, because a reduction along rows of length 3
+    costs several times the draws it tests; the cost is then the draws
+    alone.
     """
     # rejection from the uniform measure
     target = n // 2
     rejected = [np.empty((0, 3))]
-    while sum(len(b) for b in rejected) < target:
+    kept = 0
+    extreme = np.empty(4 * n)
+    while kept < target:
         cand = rng.dirichlet(np.ones(3), size=4 * n)
-        keep = (cand.min(axis=1) < margin) | (1.0 - cand.max(axis=1) < margin)
+        a, b, c = cand.T
+        keep = np.minimum(np.minimum(a, b, out=extreme), c, out=extreme) < margin
+        np.maximum(np.maximum(a, b, out=extreme), c, out=extreme)
+        keep |= np.subtract(1.0, extreme, out=extreme) < margin
         rejected.append(cand[keep])
+        kept += len(rejected[-1])
     out = [np.concatenate(rejected)[:target]]
     # edge strips: one coordinate pushed below margin
     m = n // 4

@@ -92,6 +92,15 @@ class TestSubcommands:
             run(["no-such-command"])
         assert err.value.code == 2
 
+    # the parser once kept the handler bound when it was built, so a
+    # wrapper bound later (the benchmark's tracer) never ran
+    def test_main_calls_handler_bound_at_call_time(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "cmd_psi_scan", lambda args: calls.append(args) or 0)
+        assert run(["psi-scan", "--samples", "10", "--out", str(tmp_path)]) == 0
+        assert [args.samples for args in calls] == [10]
+        assert not any(tmp_path.iterdir())
+
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"samples": 2000, "margin": 1e-3}))
@@ -113,6 +122,14 @@ class TestDeterminism:
         for out in (a, b):
             assert run(["psi-scan", "--samples", "3000", "--seed", "7",
                         "--out", str(out)]) == 0
+        assert (a / "psi-scan.json").read_bytes() == (b / "psi-scan.json").read_bytes()
+
+    # at margin 1e-4 the collar's rejection loop runs over 200 batches
+    def test_psi_scan_small_margin_byte_identical(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert run(["psi-scan", "--margin", "1e-4", "--samples", "2000",
+                        "--seed", "7", "--out", str(out)]) == 0
         assert (a / "psi-scan.json").read_bytes() == (b / "psi-scan.json").read_bytes()
 
     def test_barycenter_suite_byte_identical(self, tmp_path):

@@ -110,6 +110,18 @@ class TestBoundaryScan:
             with pytest.raises(ValueError):
                 spd.collar_supremum(margin)
 
+    # the rejection test once reduced each batch along rows of length 3;
+    # the column-wise test must keep every point and the generator state
+    @pytest.mark.parametrize("n", [10, 101, 2_000, 10_000])
+    @pytest.mark.parametrize("margin", [1e-4, 1e-3, 0.15])
+    def test_collar_samples_match_rowwise_reference(self, margin, n):
+        for seed in range(5):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = spd._collar_samples_k3(rng, margin, n)
+            want = oracles.collar_samples_k3_rowwise(ref_rng, margin, n)
+            assert got.tobytes() == want.tobytes()
+            assert rng.random() == ref_rng.random()
+
     def test_non_vertex_sequences_vanish(self):
         for alpha in (0.2, 0.5, 0.8):
             vals, limit = spd.edge_limit_values(alpha)
