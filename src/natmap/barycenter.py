@@ -24,7 +24,7 @@ from .geometry import (
     busemann_gradients_frame,
     busemann_many,
 )
-from .measures import BoundaryMeasure, max_atom_mass
+from .measures import BoundaryMeasure, atom_labels, max_atom_mass
 
 HALF_ATOM_TOL = 1e-12
 ARMIJO_CONTRACTION = 0.5
@@ -75,7 +75,10 @@ def _derivatives(beta: BoundaryMeasure, y: np.ndarray) -> tuple[np.ndarray, np.n
     """Gradient and Hessian I - H(y) of phi at y in frame components, from
     one array of Busemann gradients."""
     b = busemann_gradients_frame(y, beta.points)
-    H = np.einsum("i,ij,il->jl", beta.weights, b, b)
+    # (w b_j) b_l summed over i, the product order of the three-operand
+    # einsum("i,ij,il->jl", w, b, b), so H is bitwise that contraction
+    wb = beta.weights[:, None] * b
+    H = np.einsum("ij,il->jl", wb, b)
     return beta.weights @ b, np.eye(y.size) - H
 
 
@@ -90,17 +93,21 @@ def _initial_guess(beta: BoundaryMeasure) -> np.ndarray:
     return 0.5 * c
 
 
-def barycenter(beta: BoundaryMeasure,
-               cfg: SolverConfig | None = None) -> BarycenterResult:
+def barycenter(beta: BoundaryMeasure, cfg: SolverConfig | None = None,
+               labels: np.ndarray | None = None) -> BarycenterResult:
     """Barycenter of a boundary probability measure.
 
     Raises TwoEqualAtomsError for the excluded two-equal-Diracs case and
     NoConvergenceError if the iteration cap is reached.  A dominant atom
     (at least half the total mass after clustering) short-circuits to a
-    boundary result.
+    boundary result.  ``labels`` are the `atom_labels` of ``beta.points``,
+    passed by a caller whose points stay fixed across solves; without
+    them the points are clustered here.
     """
     cfg = cfg or SolverConfig()
-    clusters = max_atom_mass(beta)
+    if labels is None:
+        labels = atom_labels(beta.points)
+    clusters = max_atom_mass(beta, labels)
     # half the total, not 1/2: a BoundaryMeasure's total is 1 only to MASS_TOL
     half = clusters.masses.sum() / 2.0
     if clusters.mass >= half - HALF_ATOM_TOL:

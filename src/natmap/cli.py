@@ -347,20 +347,29 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        explicit = {a for a in (argv or sys.argv[1:]) if a.startswith("--")}
-        # config values pass through the same types as the flags they set
-        kinds = {flag: kind for name, _, _, flags, _ in _COMMANDS
-                 if name == args.command for flag, kind, _ in flags}
+        if not isinstance(overrides, dict):
+            print("config error: the file must hold one JSON object", file=sys.stderr)
+            return 2
+        explicit = {a.split("=", 1)[0] for a in (argv or sys.argv[1:])
+                    if a.startswith("--")}
+        # a key names an option of the subcommand, and its value passes
+        # through the same type as the flag it sets
+        kinds = {"--seed": int, "--out": str}
+        kinds.update((flag, kind) for name, _, _, flags, _ in _COMMANDS
+                     if name == args.command for flag, kind, _ in flags)
         for key, value in overrides.items():
             flag = "--" + key.replace("_", "-")
-            if hasattr(args, key) and flag not in explicit:
-                if flag in kinds:
-                    try:
-                        value = kinds[flag](str(value))
-                    except (argparse.ArgumentTypeError, ValueError) as exc:
-                        print(f"config error: {key}: {exc}", file=sys.stderr)
-                        return 2
-                setattr(args, key, value)
+            if flag not in kinds:
+                print(f"config error: {key}: not an option of {args.command}",
+                      file=sys.stderr)
+                return 2
+            try:
+                value = kinds[flag](str(value))
+            except (argparse.ArgumentTypeError, ValueError) as exc:
+                print(f"config error: {key}: {exc}", file=sys.stderr)
+                return 2
+            if flag not in explicit:
+                setattr(args, flag[2:].replace("-", "_"), value)
     # looked up by name at call time, so a rebinding of natmap.cli.cmd_*
     # after the parser was built (a tracer's wrapper) is the one that runs
     return globals()[args.func.__name__](args)

@@ -149,32 +149,39 @@ def pushforward(beta: BoundaryMeasure, g: Isometry) -> BoundaryMeasure:
 
 @dataclass(frozen=True)
 class AtomClusters:
-    """Points of a measure merged into clusters within ATOM_CLUSTER_TOL."""
+    """The clusters of a measure's points, weighed by its weights."""
 
     mass: float               # of the heaviest cluster
     location: BoundaryPoint   # weighted direction of the heaviest cluster
     masses: np.ndarray        # mass of each cluster
-    labels: np.ndarray        # cluster of each point, an index into masses
 
 
-def max_atom_mass(beta: BoundaryMeasure) -> AtomClusters:
-    """One clustering pass over the points of the measure; ``.mass`` is
-    the largest clustered mass and ``.location`` its direction."""
+def atom_labels(points: np.ndarray) -> np.ndarray:
+    """Cluster of each point, merging points within ATOM_CLUSTER_TOL.
+
+    The labels run over 0..ncomp-1 and depend on the points alone, so a
+    family whose points stay fixed while its weights move clusters once.
+    """
+    n = points.shape[0]
+    chord = 2.0 * np.sin(ATOM_CLUSTER_TOL / 2.0)
+    pairs = cKDTree(points).query_pairs(r=chord, output_type="ndarray")
+    if not pairs.size:
+        return np.arange(n)
+    graph = coo_matrix((np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])),
+                       shape=(n, n))
+    return connected_components(graph, directed=False)[1]
+
+
+def max_atom_mass(beta: BoundaryMeasure, labels: np.ndarray) -> AtomClusters:
+    """Weigh the clusters ``labels`` (from `atom_labels` of the measure's
+    points); ``.mass`` is the largest clustered mass and ``.location`` its
+    direction."""
     w = beta.weights
     p = beta.points
-    chord = 2.0 * np.sin(ATOM_CLUSTER_TOL / 2.0)
-    tree = cKDTree(p)
-    pairs = tree.query_pairs(r=chord, output_type="ndarray")
-    if pairs.size:
-        graph = coo_matrix((np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])),
-                           shape=(w.size, w.size))
-        ncomp, labels = connected_components(graph, directed=False)
-    else:
-        ncomp, labels = w.size, np.arange(w.size)
-    masses = np.bincount(labels, weights=w, minlength=ncomp)
+    masses = np.bincount(labels, weights=w)
     top = int(np.argmax(masses))
     members = labels == top
     loc = np.average(p[members], axis=0, weights=w[members])
     norm = np.linalg.norm(loc)
     loc = p[members][0] if norm < 1e-12 else loc / norm
-    return AtomClusters(float(masses[top]), BoundaryPoint(loc), masses, labels)
+    return AtomClusters(float(masses[top]), BoundaryPoint(loc), masses)

@@ -32,7 +32,7 @@ from .geometry import (
     psl2_to_lorentz,
     translation_length,
 )
-from .measures import BoundaryMeasure, VisualFamily
+from .measures import BoundaryMeasure, VisualFamily, atom_labels
 
 RELATOR_TOL = 1e-8
 FD_STEP = 1e-4
@@ -289,7 +289,9 @@ class OrbitBoundaryMap:
 
 class PushedFamily:
     """Visual family pushed through a boundary map: fixed image atoms,
-    basepoint-dependent weights.  Precomputes the node images once."""
+    basepoint-dependent weights.  The node images and their atom clusters
+    (``labels``, read-only) are computed once, so each solve only weighs
+    the clusters."""
 
     def __init__(self, D, family: VisualFamily):
         if D.source_dim != family.dimension:
@@ -302,6 +304,8 @@ class PushedFamily:
         img = np.asarray(D.map_points(nodes), dtype=float)
         self.images = img / np.linalg.norm(img, axis=1, keepdims=True)
         self.target_dim = self.images.shape[1]
+        self.labels = atom_labels(self.images)
+        self.labels.setflags(write=False)
 
     def weights_at(self, x: np.ndarray) -> np.ndarray:
         k = self.family.dimension
@@ -314,7 +318,7 @@ class PushedFamily:
 
 def _solve_barycenter(pushed: PushedFamily, x: np.ndarray) -> BarycenterResult:
     beta = pushed.measure_at(x)
-    res = barycenter(beta)
+    res = barycenter(beta, labels=pushed.labels)
     if res.kind != "interior":
         # far from the origin the density is narrower than the node spacing
         top = float(beta.weights.max())
@@ -358,9 +362,12 @@ def operators_at(rho: Representation | None, D, family: VisualFamily,
         image = _solve_barycenter(pushed, xc).location
     w = pushed.weights_at(xc)
     b = busemann_gradients_frame(image.coords, pushed.images)
-    H = np.einsum("i,ij,il->jl", w, b, b)
+    # one weighted array for both contractions, each bitwise its
+    # three-operand einsum("i,ij,il->jl", w, b, .)
+    wb = w[:, None] * b
+    H = np.einsum("ij,il->jl", wb, b)
     a = busemann_gradients_frame(xc, pushed.nodes)
-    L = np.einsum("i,ij,il->jl", w, b, a)
+    L = np.einsum("ij,il->jl", wb, a)
     return OperatorPair(H, np.eye(H.shape[0]) - H, L, x, image)
 
 

@@ -118,22 +118,23 @@ def _collar_samples_k3(rng: np.random.Generator, margin: float, n: int) -> np.nd
     The rejection half costs about n / (12 margin) Dirichlet rows: each
     batch of 4n keeps about 6 margin of its rows, so 8.3 M rows at margin
     1e-3 with n = 100,000, and again at margin 1e-4 with n = 10,000.  The
-    rows are tested column by column with elementwise minima and maxima
-    into one reused buffer, because a reduction along rows of length 3
-    costs several times the draws it tests; the cost is then the draws
-    alone.
+    rows are tested column by column with an elementwise minimum into one
+    reused buffer, because a reduction along rows of length 3 costs
+    several times the draws it tests; the cost is then the draws alone.
+    The test is min < margin only: a row with 1 - max < margin has its
+    other two coordinates summing below the margin (up to the rounding of
+    a row's unit sum, far below any margin a scan can afford), so its
+    minimum is below margin / 2 and the minimum test keeps it already.
     """
     # rejection from the uniform measure
     target = n // 2
     rejected = [np.empty((0, 3))]
     kept = 0
-    extreme = np.empty(4 * n)
+    lo = np.empty(4 * n)
     while kept < target:
         cand = rng.dirichlet(np.ones(3), size=4 * n)
         a, b, c = cand.T
-        keep = np.minimum(np.minimum(a, b, out=extreme), c, out=extreme) < margin
-        np.maximum(np.maximum(a, b, out=extreme), c, out=extreme)
-        keep |= np.subtract(1.0, extreme, out=extreme) < margin
+        keep = np.minimum(np.minimum(a, b, out=lo), c, out=lo) < margin
         rejected.append(cand[keep])
         kept += len(rejected[-1])
     out = [np.concatenate(rejected)[:target]]

@@ -194,3 +194,10 @@ def cross_ratio(a: complex, b: complex, c: complex, d: complex) -> complex:
         if cmath.isfinite(p) and cmath.isfinite(q):
             out *= (p - q) ** power
     return out
+
+
+def weighted_outer(w: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_i w_i b_i c_i^T as the three-operand contraction
+    einsum("i,ij,il->jl"), the form the barycenter's Hessian and the
+    natural map's operators were first built with."""
+    return np.einsum("i,ij,il->jl", w, b, c)

@@ -109,6 +109,41 @@ class TestSubcommands:
         data = json.loads((tmp_path / "psi-scan.json").read_text())
         assert data["params"]["samples"] == 2000
 
+    # a config key once set any attribute of the parsed arguments: "func"
+    # replaced the handler, "command" the subcommand's name
+    @pytest.mark.parametrize("overrides", [
+        {"func": "x"}, {"command": "volume-path"}, {"config": "other.json"},
+        {"no_such_option": 1}, {"steps": 3}, {"seed": "seven"}, ["samples", 10]],
+        ids=["func", "command", "config", "unknown", "other-command", "bad-seed",
+             "not-an-object"])
+    def test_config_key_not_an_option_exit_2(self, tmp_path, overrides):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        out = tmp_path / "out"
+        assert run(["psi-scan", "--samples", "100", "--config", str(cfg),
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+
+    # seed and out are typed as the parser types them
+    def test_config_seed_typed_as_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": "7", "out": str(tmp_path / "a")}))
+        assert run(["psi-scan", "--samples", "2000", "--config", str(cfg)]) == 0
+        assert run(["psi-scan", "--samples", "2000", "--seed", "7",
+                    "--out", str(tmp_path / "b")]) == 0
+        a, b = (tmp_path / d / "psi-scan.json" for d in ("a", "b"))
+        assert json.loads(a.read_text())["params"]["seed"] == 7
+        assert a.read_bytes() == b.read_bytes()
+
+    # an explicit --flag=value once lost to the config file's value
+    def test_explicit_flag_with_equals_wins(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"samples": 2000}))
+        assert run(["psi-scan", "--samples=1000", "--config", str(cfg),
+                    "--out", str(tmp_path)]) == 0
+        data = json.loads((tmp_path / "psi-scan.json").read_text())
+        assert data["params"]["samples"] == 1000
+
     def test_bad_config_exit_2(self, tmp_path):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")

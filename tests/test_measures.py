@@ -125,7 +125,7 @@ class TestPushforward:
         # the image of a constant map: every node's weight on one point
         m = visual_measure(fam2000, geo.HPoint(np.zeros(3)))
         out = ms.BoundaryMeasure(m.weights, np.tile([0.0, 0.0, 1.0], (m.weights.size, 1)))
-        top = ms.max_atom_mass(out)
+        top = ms.max_atom_mass(out, ms.atom_labels(out.points))
         assert top.mass == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(top.location.direction, [0, 0, 1])
 
@@ -141,19 +141,24 @@ class TestPushforward:
         assert ms.pushforward(m, g).weights.sum() == m.weights.sum()
 
 
+def clustered(m):
+    return ms.max_atom_mass(m, ms.atom_labels(m.points))
+
+
 class TestMaxAtomMass:
     def test_single_dirac(self):
         m = ms.atomic_measure([1.0], [[0.0, 0.0, 1.0]])
-        top = ms.max_atom_mass(m)
+        top = clustered(m)
         assert top.mass == 1.0 and np.allclose(top.location.direction, [0, 0, 1])
 
     def test_uniform_quadrature_no_clustering(self, fam2000):
         m = visual_measure(fam2000, geo.HPoint(np.zeros(3)))
-        assert ms.max_atom_mass(m).mass <= 2.0 / 2000
+        assert np.array_equal(ms.atom_labels(m.points), np.arange(m.weights.size))
+        assert clustered(m).mass <= 2.0 / 2000
 
     def test_two_atoms(self):
         m = ms.atomic_measure([0.6, 0.4], [[1, 0, 0], [0, 1, 0]])
-        top = ms.max_atom_mass(m)
+        top = clustered(m)
         assert top.mass == pytest.approx(0.6, abs=1e-15)
         assert np.allclose(top.location.direction, [1, 0, 0])
 
@@ -162,11 +167,23 @@ class TestMaxAtomMass:
         p = np.array([[1.0, 0.0, 0.0], [np.cos(eps), np.sin(eps), 0.0],
                       [0.0, 1.0, 0.0]])
         m = ms.atomic_measure([0.3, 0.3, 0.4], p)
-        clusters = ms.max_atom_mass(m)
+        labels = ms.atom_labels(m.points)
+        assert list(labels) == [0, 0, 1]
+        clusters = ms.max_atom_mass(m, labels)
         assert clusters.mass == pytest.approx(0.6, abs=1e-12)
-        # the same pass labels every point with its cluster
         assert np.allclose(clusters.masses, [0.6, 0.4], atol=1e-12)
-        assert list(clusters.labels) == [0, 0, 1]
+
+    # the labels depend on the points alone: one clustering serves every
+    # reweighting of the same cloud
+    def test_labels_reused_across_weights(self, rng):
+        p = np.repeat(rng.standard_normal((5, 3)), [1, 3, 2, 1, 4], axis=0)
+        labels = ms.atom_labels(p / np.linalg.norm(p, axis=1, keepdims=True))
+        for _ in range(3):
+            m = ms.atomic_measure(rng.random(p.shape[0]) + 0.1, p)
+            top = ms.max_atom_mass(m, labels)
+            assert np.array_equal(top.masses, np.bincount(labels, weights=m.weights,
+                                                          minlength=5))
+            assert top.mass == top.masses.max()
 
 
 class TestSerialization:

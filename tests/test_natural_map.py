@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
+from natmap import barycenter as bary
 from natmap import geometry as geo
 from natmap import measures as ms
 from natmap import natural_map as nm
@@ -212,6 +213,8 @@ class TestNaturalMapExactCases:
             def map_points(self, p):
                 return np.tile([0.0, 0.0, 1.0], (p.shape[0], 1))
 
+        # every image in one cluster, found once when the family is built
+        assert not nm.PushedFamily(Collapse(), fam2000).labels.any()
         with pytest.raises(nm.ElementaryRepresentationError):
             nm.natural_map(None, Collapse(), fam2000, O3)
 
@@ -227,6 +230,101 @@ class TestNaturalMapExactCases:
             with pytest.raises(nm.UnresolvedVisualMeasureError,
                                match=f"one of 2048 quadrature nodes carries {top}"):
                 nm.natural_map(None, pushed, fam2000, x)
+
+
+@pytest.fixture
+def label_calls(monkeypatch):
+    """Point counts of the `atom_labels` calls made through the library."""
+    calls = []
+
+    def counted(points):
+        calls.append(points.shape[0])
+        return ms.atom_labels(points)
+
+    monkeypatch.setattr(nm, "atom_labels", counted)
+    monkeypatch.setattr(bary, "atom_labels", counted)
+    return calls
+
+
+class TestClusterOnce:
+    def test_one_clustering_per_family(self, fam2000, label_calls):
+        pushed = nm.PushedFamily(nm.identity_boundary_map(3), fam2000)
+        assert label_calls == [2048]
+        assert not pushed.labels.flags.writeable
+        x = geo.HPoint(np.array([0.2, -0.1, 0.3]))
+        nm.natural_map(None, pushed, fam2000, x)
+        pair = nm.operators_at(None, pushed, fam2000, x)
+        nm.jacobian(None, pushed, fam2000, x, "implicit", pair=pair)
+        # 2k more solves, none of which clusters again
+        j = nm.jacobian(None, pushed, fam2000, x, "finite-difference", pair=pair)
+        assert j.method == "finite-difference"
+        assert label_calls == [2048]
+
+    # the labels of the fixed images give each solve what clustering the
+    # weighted measure afresh gives it, bit for bit
+    @pytest.mark.parametrize("case", ["identity", "mobius", "geodesic-m5", "orbit"])
+    def test_natural_map_equals_fresh_clustering(self, case, fam2000, holonomy,
+                                                 fig8_path, label_calls):
+        rng = np.random.default_rng(11)
+        if case == "identity":
+            D = nm.identity_boundary_map(3)
+        elif case == "mobius":
+            D = nm.MobiusBoundaryMap(geo.random_isometry(rng, 3, 0.5, 0.5))
+        elif case == "geodesic-m5":
+            D = nm.TotallyGeodesicBoundaryMap(3, 5)
+        else:
+            D = nm.OrbitBoundaryMap.build(holonomy, fig8_path[3].representation,
+                                          min_table=5000)
+        pushed = nm.PushedFamily(D, fam2000)
+        if case == "orbit":
+            # nodes that share a table entry share an image: clusters of many
+            sizes = np.bincount(pushed.labels)
+            assert sizes.size < pushed.images.shape[0] and sizes.max() > 1
+        for _ in range(4):
+            x = random_ball_point(rng, max_radius=0.8)
+            calls = len(label_calls)
+            got = nm.natural_map(None, pushed, fam2000, x)
+            assert len(label_calls) == calls
+            want = bary.barycenter(pushed.measure_at(x.coords)).location
+            assert len(label_calls) == calls + 1
+            assert np.array_equal(got.coords, want.coords)
+
+
+class TestWeightedOuterProducts:
+    """The two-operand contractions are bitwise the three-operand form, so
+    a numpy that reorders einsum's reduction fails here rather than as a
+    changed CLI byte."""
+
+    def test_derivatives_hessian(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3, 7, 64, 2048, 8192, 9000, *rng.integers(1, 9001, 40)):
+            for k in range(2, 6):
+                pts = rng.standard_normal((n, k))
+                beta = ms.atomic_measure(rng.random(n) + 1e-3, pts)
+                y = random_ball_point(rng, k, 2.0).coords
+                b = geo.busemann_gradients_frame(y, beta.points)
+                _, hess = bary._derivatives(beta, y)
+                want = np.eye(k) - oracles.weighted_outer(beta.weights, b, b)
+                assert np.array_equal(hess, want), (n, k)
+
+    @pytest.mark.parametrize("k, m, nodes", [
+        (2, 2, 1), (2, 4, 9000), (3, 3, 2000), (3, 5, 8192), (4, 4, 700),
+        (4, 5, 3000), (5, 5, 1500)])
+    def test_operators_h_and_l(self, k, m, nodes):
+        rng = np.random.default_rng(k * 100 + m)
+        family = ms.VisualFamily(k, nodes)
+        D = (nm.identity_boundary_map(k) if k == m
+             else nm.TotallyGeodesicBoundaryMap(k, m))
+        pushed = nm.PushedFamily(D, family)
+        for _ in range(3):
+            x = random_ball_point(rng, k, 1.0)
+            image = random_ball_point(rng, m, 1.0)
+            pair = nm.operators_at(None, pushed, family, x, image)
+            w = pushed.weights_at(x.coords)
+            b = geo.busemann_gradients_frame(image.coords, pushed.images)
+            a = geo.busemann_gradients_frame(x.coords, pushed.nodes)
+            assert np.array_equal(pair.H, oracles.weighted_outer(w, b, b))
+            assert np.array_equal(pair.L, oracles.weighted_outer(w, b, a))
 
 
 class TestOperators:
