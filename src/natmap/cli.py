@@ -85,9 +85,10 @@ def cmd_psi_scan(args) -> int:
     rep = _Report("psi-scan", {"k": args.k, "margin": args.margin,
                                "samples": args.samples, "seed": args.seed})
     k = args.k
-    if k == 3 and not 0.0 < args.margin <= spd.COLLAR_MARGIN_MAX:
-        print(f"usage error: k = 3 needs 0 < --margin <= {spd.COLLAR_MARGIN_MAX}",
-              file=sys.stderr)
+    try:
+        scan = spd.boundary_bound_scan(k, args.margin, args.samples, seed=args.seed)
+    except ValueError as exc:
+        print(f"usage error: --margin: {exc}", file=sys.stderr)
         return 2
     rng = np.random.default_rng(args.seed)
     rep.check("psi_at_center", abs(spd.psi(np.eye(k) / k) - spd.psi_max(k)),
@@ -97,7 +98,6 @@ def cmd_psi_scan(args) -> int:
     rep.check("random_sample_bound", float(vals.max()),
               spd.psi_max(k) + 1e-12, budget=f"{args.samples} Dirichlet+QR samples")
     if k == 3:
-        scan = spd.boundary_bound_scan(3, args.margin, args.samples, seed=args.seed)
         rep.check("collar_max_vs_exact_sup", scan.max_value, scan.threshold,
                   budget="exact collar supremum: max over b of Psi(y, b, 1-y-b) "
                          f"at y = margin <= {spd.COLLAR_MARGIN_MAX}, on the ridge "
@@ -107,7 +107,6 @@ def cmd_psi_scan(args) -> int:
         rep.check("edge_limits_vanish", max(abs(v) for v in limits), 1e-4,
                   budget="Richardson extrapolation along approach sequences")
     else:
-        scan = spd.boundary_bound_scan(k, args.margin, args.samples, seed=args.seed)
         rep.check("vertex_envelope_ratio", scan.max_value, scan.threshold,
                   budget="envelope s^(k-3)/(k-1)^(k-1), correction (1-s)^(3-2k)")
         rep.payload["vertex_scan"] = asdict(scan)
@@ -295,21 +294,30 @@ def cmd_rigidity_report(args) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+def _int_at_least(text: str, low: int) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+    return value
+
+
 def positive_int(text: str) -> int:
     """argparse type of the count flags: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+    return _int_at_least(text, 1)
+
+
+def psi_dimension(text: str) -> int:
+    """argparse type of --k: psi has a maximum only on k x k matrices, k >= 3."""
+    return _int_at_least(text, 3)
 
 
 # name, handler, help, command flags (flag, type, default), default seed
 _COMMANDS = (
     ("psi-scan", cmd_psi_scan, "maximum and boundary analysis of psi",
-     (("--k", int, 3), ("--margin", float, 1e-3),
+     (("--k", psi_dimension, 3), ("--margin", float, 1e-3),
       ("--samples", positive_int, 100_000)), 0),
     ("psi-converse", cmd_psi_converse, "level sets of psi near the maximum",
-     (("--k", int, 3), ("--eps", float, 1e-4),
+     (("--k", psi_dimension, 3), ("--eps", float, 1e-4),
       ("--trials", positive_int, 100_000)), 0),
     ("barycenter-suite", cmd_barycenter_suite, "barycenter solver checks",
      (("--tol", float, 1e-10),), 7),

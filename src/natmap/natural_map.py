@@ -331,10 +331,9 @@ def _solve_barycenter(pushed: PushedFamily, x: np.ndarray) -> BarycenterResult:
     return res
 
 
-def natural_map(rho: Representation | None, D, family: VisualFamily,
+def natural_map(rho: Representation | None, pushed: PushedFamily, family: VisualFamily,
                 x: HPoint) -> HPoint:
     """F(x): barycenter of the pushforward under D of the visual measure at x."""
-    pushed = D if isinstance(D, PushedFamily) else PushedFamily(D, family)
     return _solve_barycenter(pushed, x.coords).location
 
 
@@ -354,9 +353,8 @@ class OperatorPair:
     image: HPoint
 
 
-def operators_at(rho: Representation | None, D, family: VisualFamily,
+def operators_at(rho: Representation | None, pushed: PushedFamily, family: VisualFamily,
                  x: HPoint, image: HPoint | None = None) -> OperatorPair:
-    pushed = D if isinstance(D, PushedFamily) else PushedFamily(D, family)
     xc = x.coords
     if image is None:
         image = _solve_barycenter(pushed, xc).location
@@ -400,8 +398,9 @@ def _finite_difference_DF(pushed: PushedFamily, x: np.ndarray,
     return np.column_stack(cols)
 
 
-def jacobian(rho: Representation | None, D, family: VisualFamily, x: HPoint,
-             method: str = "implicit", pair: OperatorPair | None = None) -> JacobianResult:
+def jacobian(rho: Representation | None, pushed: PushedFamily, family: VisualFamily,
+             x: HPoint, method: str = "implicit",
+             pair: OperatorPair | None = None) -> JacobianResult:
     """Differential of the natural map in orthonormal frames, plus Jac_k.
 
     'implicit' solves K DF = (k-1) L from the differentiated stationarity
@@ -411,7 +410,6 @@ def jacobian(rho: Representation | None, D, family: VisualFamily, x: HPoint,
     """
     if method not in ("implicit", "finite-difference"):
         raise ValueError(f"unknown method '{method}'")
-    pushed = D if isinstance(D, PushedFamily) else PushedFamily(D, family)
     if pair is None:
         pair = operators_at(rho, pushed, family, x)
     kmin = float(np.linalg.eigvalsh(pair.K)[0])

@@ -91,15 +91,15 @@ def _collar_ridge(y) -> np.ndarray:
 def collar_supremum(margin: float) -> float:
     """Exact supremum of Psi over the k = 3 collar {min a_i < margin}.
 
-    Valid for 0 < margin <= COLLAR_MARGIN_MAX (ValueError otherwise).  The
-    supremum is approached, not attained, along (y, b*(y), 1-y-b*(y)) with
-    y -> margin, on the ridge computed by `_collar_ridge`; it equals
-    1/4 + y/2 + 3y^2/4 + O(y^3) at y = margin.  The symmetric point
-    (y, y, 1-2y), where Psi = (1-2y)/(4(1-y)^4), lies y^2/4 lower to
-    leading order.
+    Valid for normal floats 0 < margin <= COLLAR_MARGIN_MAX (ValueError
+    otherwise; a subnormal margin rounds the scan's corner probes onto it).
+    The supremum is approached, not attained, along (y, b*(y), 1-y-b*(y))
+    with y -> margin, on the ridge computed by `_collar_ridge`; it equals
+    1/4 + y/2 + 3y^2/4 + O(y^3) at y = margin.  The symmetric point (y, y,
+    1-2y), where Psi = (1-2y)/(4(1-y)^4), lies y^2/4 lower to leading order.
     """
-    if not 0.0 < margin <= COLLAR_MARGIN_MAX:
-        raise ValueError(f"collar supremum needs 0 < margin <= {COLLAR_MARGIN_MAX}")
+    if not np.finfo(float).tiny <= margin <= COLLAR_MARGIN_MAX:
+        raise ValueError(f"collar supremum needs a normal 0 < margin <= {COLLAR_MARGIN_MAX}")
     y, b = margin, float(_collar_ridge(margin))
     # 1 - c formed as y + b: 1 - fl(1-y-b) would lose digits to cancellation
     return y * b * (1.0 - y - b) / ((1.0 - y) * (1.0 - b) * (y + b)) ** 2
@@ -108,44 +108,22 @@ def collar_supremum(margin: float) -> float:
 def _collar_samples_k3(rng: np.random.Generator, margin: float, n: int) -> np.ndarray:
     """n points of the margin collar of the 2-simplex, corners included.
 
-    Half are uniform simplex points rejected into the collar, a quarter are
-    edge strips with one coordinate below the margin, and the rest are
-    deterministic corner probes as y -> margin, split between the symmetric
-    family (y, y, 1-2y) and the ridge (y, b*(y), 1-y-b*(y)) on which the
-    collar supremum lies, so the scan reaches that supremum to within
-    about margin * 1e-6 / 2.
-
-    The rejection half costs about n / (12 margin) Dirichlet rows: each
-    batch of 4n keeps about 6 margin of its rows, so 8.3 M rows at margin
-    1e-3 with n = 100,000, and again at margin 1e-4 with n = 10,000.  The
-    rows are tested column by column with an elementwise minimum into one
-    reused buffer, because a reduction along rows of length 3 costs
-    several times the draws it tests; the cost is then the draws alone.
-    The test is min < margin only: a row with 1 - max < margin has its
-    other two coordinates summing below the margin (up to the rounding of
-    a row's unit sum, far below any margin a scan can afford), so its
-    minimum is below margin / 2 and the minimum test keeps it already.
+    Three quarters are edge strips: one coordinate, in a random position,
+    uniform below the margin, the other two splitting the rest uniformly.
+    The rest are deterministic corner probes as y -> margin, split between
+    the symmetric family (y, y, 1-2y) and the ridge (y, b*(y), 1-y-b*(y))
+    on which the collar supremum lies, so the scan reaches that supremum to
+    within about margin * 1e-6 / 2.  The strips lie below the probes'
+    maximum, so the scan's max and argmax come from the probes.  The cost is
+    linear in n and does not depend on the margin.
     """
-    # rejection from the uniform measure
-    target = n // 2
-    rejected = [np.empty((0, 3))]
-    kept = 0
-    lo = np.empty(4 * n)
-    while kept < target:
-        cand = rng.dirichlet(np.ones(3), size=4 * n)
-        a, b, c = cand.T
-        keep = np.minimum(np.minimum(a, b, out=lo), c, out=lo) < margin
-        rejected.append(cand[keep])
-        kept += len(rejected[-1])
-    out = [np.concatenate(rejected)[:target]]
-    # edge strips: one coordinate pushed below margin
-    m = n // 4
+    m = n // 2 + n // 4
     t = margin * rng.random(m)
     split = rng.random(m)
     strips = np.column_stack([t, (1 - t) * split, (1 - t) * (1 - split)])
-    out.append(strips[np.arange(m)[:, None], rng.permuted(np.tile(np.arange(3), (m, 1)), axis=1)])
+    out = [strips[np.arange(m)[:, None], rng.permuted(np.tile(np.arange(3), (m, 1)), axis=1)]]
     # deterministic corner probes: symmetric family, then the ridge
-    corner = n - target - m
+    corner = n - m
     y = margin * (1.0 - np.geomspace(1e-6, 1.0, corner // 2, endpoint=False))
     out.append(np.column_stack([y, y, 1.0 - 2.0 * y]))
     y = margin * (1.0 - np.geomspace(1e-6, 1.0, corner - corner // 2, endpoint=False))
@@ -164,19 +142,22 @@ def boundary_bound_scan(k: int, margin: float, samples: int,
     ridge where that supremum lies.  k >= 4: samples near the zero vertex with
     coordinate sum s below k * margin and asserts the vanishing envelope
     s^(k-3) / (k-1)^(k-1) within the factor (1 - s)^(3 - 2k) that bounds
-    the neglected (1 - a_i) denominators.
+    the neglected (1 - a_i) denominators; s stays inside the simplex only
+    for 0 < margin < 1/k.  ValueError for a margin outside its range.
     """
     if k < 3:
         raise ValueError("boundary scan needs k >= 3")
     rng = np.random.default_rng(seed)
     if k == 3:
+        threshold = collar_supremum(margin) + 1e-12
         pts = _collar_samples_k3(rng, margin, samples)
         vals = psi_simplex(pts)
         top = int(np.argmax(vals))
-        threshold = collar_supremum(margin) + 1e-12
         return ScanReport(3, margin, samples, float(vals[top]),
                           [float(c) for c in pts[top]], threshold,
                           bool(vals[top] <= threshold))
+    if not 0.0 < margin < 1.0 / k:
+        raise ValueError(f"vertex scan for k = {k} needs 0 < margin < 1/{k}")
     # near-vertex samples: first k-1 coordinates tiny, last carries the rest
     s = k * margin * rng.random(samples)
     frac = rng.dirichlet(np.ones(k - 1), size=samples)
@@ -231,7 +212,7 @@ CONVERSE_GRID_STEP = 1e-3
 
 def quantitative_converse(k: int, eps: float, trials: int,
                           seed: int = 0) -> ConverseReport:
-    """Largest distance from I/k on the level set psi >= max (1 - eps).
+    """Largest distance from I/k on the level set psi >= max (1 - eps), k >= 3.
 
     Rejection-samples near I/k (heavy-tailed local perturbations) plus a
     global Dirichlet scatter pass, and certifies with an exhaustive
@@ -239,6 +220,8 @@ def quantitative_converse(k: int, eps: float, trials: int,
     depend on eigenvalues, so the grid bounds the level set for all
     matrices, not just the sampled ones.
     """
+    if k < 3:
+        raise ValueError("psi has a maximum only for k >= 3")
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -154,49 +155,47 @@ class IdealTriangulation:
             if perm[f] != f2:
                 raise ValueError("gluing must send the face vertex to the far vertex")
 
-    @property
-    def edge_classes(self) -> list[list[tuple[int, int, int]]]:
-        """Edge orbits as lists of (tet, vertex_i, vertex_j) incidences."""
-        return _edge_classes(self)
+    @cached_property
+    def edge_classes(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Edge orbits as tuples of (tet, vertex_i, vertex_j) incidences,
+        found once per triangulation by union-find over the face gluings."""
+        edges = [(t, i, j) for t in range(self.num_tetrahedra)
+                 for i in range(4) for j in range(i + 1, 4)]
+        index = {e: n for n, e in enumerate(edges)}
+        parent = list(range(len(edges)))
+
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        for (t, f), (t2, _, perm) in self.gluings.items():
+            verts = [v for v in range(4) if v != f]
+            for a in range(3):
+                for b in range(a + 1, 3):
+                    i, j = verts[a], verts[b]
+                    p, q = sorted((perm[i], perm[j]))
+                    ra, rb = find(index[(t, i, j)]), find(index[(t2, p, q)])
+                    parent[ra] = rb
+        groups: dict[int, list] = {}
+        for e in edges:
+            groups.setdefault(find(index[e]), []).append(e)
+        return tuple(tuple(g) for g in sorted(groups.values(), key=lambda g: (len(g), g)))
 
     def edge_exponents(self) -> np.ndarray:
-        """(n_edges, n_tets, 3) slot exponent array of the edge equations."""
-        classes = self.edge_classes
-        out = np.zeros((len(classes), self.num_tetrahedra, 3), dtype=int)
-        for e, cls in enumerate(classes):
+        """(n_edges, n_tets, 3) slot exponent array of the edge equations,
+        built once per triangulation and read-only."""
+        return self._edge_exponents
+
+    @cached_property
+    def _edge_exponents(self) -> np.ndarray:
+        out = np.zeros((len(self.edge_classes), self.num_tetrahedra, 3), dtype=int)
+        for e, cls in enumerate(self.edge_classes):
             for (t, i, j) in cls:
                 out[e, t, _SLOT_OF_PAIR[frozenset({i, j})]] += 1
+        out.setflags(write=False)
         return out
-
-
-def _edge_classes(tri: IdealTriangulation) -> list[list[tuple[int, int, int]]]:
-    edges = [(t, i, j) for t in range(tri.num_tetrahedra)
-             for i in range(4) for j in range(i + 1, 4)]
-    index = {e: n for n, e in enumerate(edges)}
-    parent = list(range(len(edges)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for (t, f), (t2, _, perm) in tri.gluings.items():
-        verts = [v for v in range(4) if v != f]
-        for a in range(3):
-            for b in range(a + 1, 3):
-                i, j = verts[a], verts[b]
-                p, q = sorted((perm[i], perm[j]))
-                union(index[(t, min(i, j), max(i, j))], index[(t2, p, q)])
-    groups: dict[int, list] = {}
-    for e in edges:
-        groups.setdefault(find(index[e]), []).append(e)
-    return sorted(groups.values(), key=lambda g: (len(g), g))
 
 
 # ---------------------------------------------------------------------------

@@ -69,38 +69,6 @@ def collar_supremum_golden(margin: float, iterations: int = 100) -> float:
     return float(max(f1, f2))
 
 
-def collar_samples_k3_rowwise(rng: np.random.Generator, margin: float,
-                               n: int) -> np.ndarray:
-    """The k = 3 collar sample set of `spd._collar_samples_k3`, with the
-    rejection test written as first shipped: each batch of 4n Dirichlet
-    rows is reduced along its rows of length 3, and the kept rows are
-    re-counted every batch.  The edge strips and the corner probes that
-    follow read the generator where the loop leaves it; the ridge probes
-    take b*(y) from `spd._collar_ridge`.
-    """
-    from natmap.spd import _collar_ridge
-    target = n // 2
-    rejected = [np.empty((0, 3))]
-    while sum(len(b) for b in rejected) < target:
-        cand = rng.dirichlet(np.ones(3), size=4 * n)
-        keep = (cand.min(axis=1) < margin) | (1.0 - cand.max(axis=1) < margin)
-        rejected.append(cand[keep])
-    out = [np.concatenate(rejected)[:target]]
-    m = n // 4
-    t = margin * rng.random(m)
-    split = rng.random(m)
-    strips = np.column_stack([t, (1 - t) * split, (1 - t) * (1 - split)])
-    out.append(strips[np.arange(m)[:, None],
-                      rng.permuted(np.tile(np.arange(3), (m, 1)), axis=1)])
-    corner = n - target - m
-    y = margin * (1.0 - np.geomspace(1e-6, 1.0, corner // 2, endpoint=False))
-    out.append(np.column_stack([y, y, 1.0 - 2.0 * y]))
-    y = margin * (1.0 - np.geomspace(1e-6, 1.0, corner - corner // 2, endpoint=False))
-    b = _collar_ridge(y)
-    out.append(np.column_stack([y, b, 1.0 - y - b]))
-    return np.concatenate(out)
-
-
 def bloch_wigner_mpmath(z: complex, digits: int = 30) -> float:
     """D(z) = Im Li2(z) + arg(1 - z) log|z| from mpmath's polylogarithm at
     ``digits`` significant digits."""

@@ -124,6 +124,36 @@ class TestSubcommands:
                     "--out", str(out)]) == 2
         assert not out.exists()
 
+    # --k 2 once ended in a ValueError traceback and --k 1 in a
+    # ZeroDivisionError; at k >= 4 a margin of 1/k or more, or not above 0,
+    # once ran and reported a failed vertex envelope
+    @pytest.mark.parametrize("argv, config", [
+        (["psi-scan", "--k", "2"], None), (["psi-scan", "--k", "1"], None),
+        (["psi-converse", "--k", "2"], None), (["psi-converse", "--k", "1"], None),
+        (["psi-scan"], {"k": 2}), (["psi-converse"], {"k": 0}),
+        (["psi-scan", "--k", "4", "--margin", "0.3"], None),
+        (["psi-scan", "--k", "4", "--margin", "0.25"], None),
+        (["psi-scan", "--k", "4", "--margin", "-0.01"], None),
+        (["psi-scan", "--k", "5", "--margin", "0"], None),
+        (["psi-scan", "--k", "4"], {"margin": 0.3})],
+        ids=["scan-k2", "scan-k1", "converse-k2", "converse-k1", "config-scan-k2",
+             "config-converse-k0", "k4-margin-0.3", "k4-margin-quarter",
+             "k4-margin-negative", "k5-margin-0", "config-k4-margin-0.3"])
+    def test_psi_range_exit_2(self, tmp_path, argv, config):
+        out = tmp_path / "out"
+        argv = argv + ["--samples" if argv[0] == "psi-scan" else "--trials", "100",
+                       "--out", str(out)]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert not out.exists()
+
     # seed and out are typed as the parser types them
     def test_config_seed_typed_as_flag(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -159,7 +189,8 @@ class TestDeterminism:
                         "--out", str(out)]) == 0
         assert (a / "psi-scan.json").read_bytes() == (b / "psi-scan.json").read_bytes()
 
-    # at margin 1e-4 the collar's rejection loop runs over 200 batches
+    # at margin 1e-4 the collar's corner probes crowd within 1e-10 of the
+    # margin, on the symmetric family and on the ridge
     def test_psi_scan_small_margin_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

@@ -214,9 +214,10 @@ class TestNaturalMapExactCases:
                 return np.tile([0.0, 0.0, 1.0], (p.shape[0], 1))
 
         # every image in one cluster, found once when the family is built
-        assert not nm.PushedFamily(Collapse(), fam2000).labels.any()
+        pushed = nm.PushedFamily(Collapse(), fam2000)
+        assert not pushed.labels.any()
         with pytest.raises(nm.ElementaryRepresentationError):
-            nm.natural_map(None, Collapse(), fam2000, O3)
+            nm.natural_map(None, pushed, fam2000, O3)
 
     def test_unresolved_density_far_out(self, fam2000):
         # at distance 3.5 from the origin, toward a node, that node carries

@@ -105,22 +105,30 @@ class TestBoundaryScan:
         assert pt.min() < margin
         assert spd.psi_simplex(pt) <= spd.collar_supremum(margin) + 1e-12
 
+    # a subnormal margin once put the corner probe margin (1 - 1e-6), rounded
+    # back onto the margin, outside the collar
     def test_collar_supremum_margin_range(self):
-        for margin in (0.0, -1e-3, 0.2):
+        for margin in (0.0, -1e-3, 0.2, 5e-324, np.finfo(float).tiny / 2):
             with pytest.raises(ValueError):
                 spd.collar_supremum(margin)
 
-    # the rejection test once reduced each batch along rows of length 3;
-    # the column-wise test must keep every point and the generator state
-    @pytest.mark.parametrize("n", [10, 101, 2_000, 10_000])
-    @pytest.mark.parametrize("margin", [1e-4, 1e-3, 0.15])
-    def test_collar_samples_match_rowwise_reference(self, margin, n):
-        for seed in range(5):
-            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = spd._collar_samples_k3(rng, margin, n)
-            want = oracles.collar_samples_k3_rowwise(ref_rng, margin, n)
-            assert got.tobytes() == want.tobytes()
-            assert rng.random() == ref_rng.random()
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(np.finfo(float).tiny, spd.COLLAR_MARGIN_MAX),
+           st.integers(1, 20_000), st.integers(0, 2**32 - 1))
+    def test_collar_samples_lie_in_collar(self, margin, n, seed):
+        pts = spd._collar_samples_k3(np.random.default_rng(seed), margin, n)
+        assert pts.shape == (n, 3)
+        assert np.all(pts >= 0.0)
+        assert np.max(np.abs(pts.sum(axis=1) - 1.0)) <= 1e-15
+        assert np.all(pts.min(axis=1) < margin)
+
+    # the random strips stay below the deterministic corner probes, so the
+    # report, and with it the psi-scan bytes, does not depend on the seed
+    @pytest.mark.parametrize("margin, n", [(1e-3, 100_000), (1e-4, 10_000)])
+    def test_k3_scan_independent_of_seed(self, margin, n):
+        reports = [spd.boundary_bound_scan(3, margin, n, seed=s) for s in range(10)]
+        assert all(rep == reports[0] for rep in reports)
+        assert reports[0].passed
 
     def test_non_vertex_sequences_vanish(self):
         for alpha in (0.2, 0.5, 0.8):
@@ -137,8 +145,22 @@ class TestBoundaryScan:
         with pytest.raises(ValueError):
             spd.boundary_bound_scan(2, 1e-3, 10)
 
+    # s = k margin U left the simplex for margin >= 1/k, and the scan
+    # reported a failed envelope instead of refusing the margin
+    @pytest.mark.parametrize("k, margin", [(4, 0.3), (4, 0.25), (4, -0.01),
+                                           (4, 0.0), (5, 0.2), (3, 0.2), (3, 0.0)])
+    def test_margin_out_of_range(self, k, margin):
+        with pytest.raises(ValueError):
+            spd.boundary_bound_scan(k, margin, 10)
+
 
 class TestQuantitativeConverse:
+    # k = 1 once divided by zero in psi_max; at k = 2 psi has no maximum
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_invalid_k(self, k):
+        with pytest.raises(ValueError):
+            spd.quantitative_converse(k, 1e-4, 10)
+
     def test_exact_maximum_recovers_center(self):
         rep = spd.quantitative_converse(3, 0.0, 100_000, seed=2)
         assert rep.delta_max_sampled <= 1e-7

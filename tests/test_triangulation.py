@@ -72,13 +72,17 @@ class TestBlochWigner:
 
 
 class TestCombinatorics:
+    # both were once rebuilt on every access, 203 times per path
     def test_edge_classes(self, tri):
         classes = tri.edge_classes
         assert len(classes) == 2
         assert all(len(c) == 6 for c in classes)
+        assert tri.edge_classes is classes
 
     def test_edge_exponents(self, tri):
         expo = tri.edge_exponents()
+        assert tri.edge_exponents() is expo
+        assert not expo.flags.writeable
         # each tetrahedron contributes every slot pair exactly twice
         assert np.array_equal(expo.sum(axis=0), np.full((2, 3), 2))
         rows = {tuple(expo[e].ravel()) for e in range(2)}
