@@ -31,6 +31,8 @@ ARMIJO_CONTRACTION = 0.5
 ARMIJO_SLOPE = 1e-4
 # smallest eigenvalue of I - H below which Newton gives way to a gradient step
 HESSIAN_FLOOR = 1e-8
+# Newton steps before NoConvergenceError
+MAX_ITERATIONS = 200
 
 
 class TwoEqualAtomsError(ValueError):
@@ -50,7 +52,6 @@ class NoConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     gradient_tol: float = 1e-10
-    max_iterations: int = 200
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ def barycenter(beta: BoundaryMeasure, cfg: SolverConfig | None = None,
     y = _initial_guess(beta)
     degenerate = False
     val = None                        # phi(y), computed when a damped step reads it
-    for it in range(1, cfg.max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         g, Hf = _derivatives(beta, y)
         gnorm = float(np.linalg.norm(g))
         if gnorm <= cfg.gradient_tol:
@@ -168,9 +169,9 @@ def barycenter(beta: BoundaryMeasure, cfg: SolverConfig | None = None,
 
     gnorm = float(np.linalg.norm(_derivatives(beta, y)[0]))
     raise NoConvergenceError(
-        f"no convergence in {cfg.max_iterations} iterations "
+        f"no convergence in {MAX_ITERATIONS} iterations "
         f"(gradient norm {gnorm:.3e})",
-        HPoint(y), gnorm, cfg.max_iterations)
+        HPoint(y), gnorm, MAX_ITERATIONS)
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,6 @@ def _attracting_fixed_points(mats: np.ndarray) -> np.ndarray:
 class MobiusBoundaryMap:
     """Boundary action of a single isometry (exactly equivariant)."""
 
-    kind = "mobius"
     approximate = False
 
     def __init__(self, g: Isometry):
@@ -200,7 +199,6 @@ def identity_boundary_map(k: int) -> MobiusBoundaryMap:
 class TotallyGeodesicBoundaryMap:
     """Equatorial embedding S^(k-1) -> S^(m-1)."""
 
-    kind = "totally-geodesic"
     approximate = False
 
     def __init__(self, k: int, m: int):
@@ -228,7 +226,6 @@ class OrbitBoundaryMap:
     query lands on; ``table_target`` completes and returns the whole half.
     """
 
-    kind = "orbit-approximation"
     approximate = True
 
     def __init__(self, table_source: np.ndarray, target_spins: np.ndarray):
@@ -316,8 +313,7 @@ class PushedFamily:
         return BoundaryMeasure(self.weights_at(x), self.images)
 
 
-def _solve_barycenter(pushed: PushedFamily, x: np.ndarray) -> BarycenterResult:
-    beta = pushed.measure_at(x)
+def _solve_barycenter(pushed: PushedFamily, beta: BoundaryMeasure) -> BarycenterResult:
     res = barycenter(beta, labels=pushed.labels)
     if res.kind != "interior":
         # far from the origin the density is narrower than the node spacing
@@ -334,7 +330,7 @@ def _solve_barycenter(pushed: PushedFamily, x: np.ndarray) -> BarycenterResult:
 def natural_map(rho: Representation | None, pushed: PushedFamily, family: VisualFamily,
                 x: HPoint) -> HPoint:
     """F(x): barycenter of the pushforward under D of the visual measure at x."""
-    return _solve_barycenter(pushed, x.coords).location
+    return _solve_barycenter(pushed, pushed.measure_at(x.coords)).location
 
 
 @dataclass(frozen=True)
@@ -356,9 +352,9 @@ class OperatorPair:
 def operators_at(rho: Representation | None, pushed: PushedFamily, family: VisualFamily,
                  x: HPoint, image: HPoint | None = None) -> OperatorPair:
     xc = x.coords
-    if image is None:
-        image = _solve_barycenter(pushed, xc).location
     w = pushed.weights_at(xc)
+    if image is None:
+        image = _solve_barycenter(pushed, BoundaryMeasure(w, pushed.images)).location
     b = busemann_gradients_frame(image.coords, pushed.images)
     # one weighted array for both contractions, each bitwise its
     # three-operand einsum("i,ij,il->jl", w, b, .)
@@ -391,8 +387,8 @@ def _finite_difference_DF(pushed: PushedFamily, x: np.ndarray,
     for i in range(k):
         step = np.zeros(k)
         step[i] = FD_STEP * chart_scale
-        fp = _solve_barycenter(pushed, _exp_chart(x, step)).location
-        fm = _solve_barycenter(pushed, _exp_chart(x, -step)).location
+        fp = _solve_barycenter(pushed, pushed.measure_at(_exp_chart(x, step))).location
+        fm = _solve_barycenter(pushed, pushed.measure_at(_exp_chart(x, -step))).location
         diff = _log_chart(image.coords, fp.coords) - _log_chart(image.coords, fm.coords)
         cols.append(lam_f * diff / (2.0 * FD_STEP))
     return np.column_stack(cols)

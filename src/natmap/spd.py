@@ -11,6 +11,7 @@ quantitative converse locating the high-level sets of psi near I/k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,11 +81,14 @@ def _collar_ridge(y) -> np.ndarray:
     """
     y = np.asarray(y, dtype=float)
     lo, hi = y, 2.0 * y
-    for _ in range(64):
-        b = 0.5 * (lo + hi)
-        rising = 1.0 / b - 1.0 / (1.0 - y - b) + 2.0 / (1.0 - b) - 2.0 / (y + b) > 0.0
-        lo = np.where(rising, b, lo)
-        hi = np.where(rising, hi, b)
+    # for subnormal y, 1/b and 2/(y+b) overflow to inf - inf = nan, which
+    # is not rising: the bracket closes on b = y, the rounded ridge there
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(64):
+            b = 0.5 * (lo + hi)
+            rising = 1.0 / b - 1.0 / (1.0 - y - b) + 2.0 / (1.0 - b) - 2.0 / (y + b) > 0.0
+            lo = np.where(rising, b, lo)
+            hi = np.where(rising, hi, b)
     return 0.5 * (lo + hi)
 
 
@@ -101,8 +105,12 @@ def collar_supremum(margin: float) -> float:
     if not np.finfo(float).tiny <= margin <= COLLAR_MARGIN_MAX:
         raise ValueError(f"collar supremum needs a normal 0 < margin <= {COLLAR_MARGIN_MAX}")
     y, b = margin, float(_collar_ridge(margin))
-    # 1 - c formed as y + b: 1 - fl(1-y-b) would lose digits to cancellation
-    return y * b * (1.0 - y - b) / ((1.0 - y) * (1.0 - b) * (y + b)) ** 2
+    # y b / (y + b)^2 read on y and b scaled by one power of two (exact, and
+    # so is d * d), else y b underflows below margin 1e-161; 1 - c formed as
+    # y + b: 1 - fl(1-y-b) would lose digits to cancellation
+    ys, bs = (math.ldexp(v, -math.frexp(y)[1]) for v in (y, b))
+    d = (1.0 - y) * (1.0 - b) * (ys + bs)
+    return ys * bs * (1.0 - y - b) / (d * d)
 
 
 def _collar_samples_k3(rng: np.random.Generator, margin: float, n: int) -> np.ndarray:

@@ -197,6 +197,42 @@ class IdealTriangulation:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def spanning_tree(self) -> tuple[tuple[int, int], ...]:
+        """Gluing keys (tet, face) placing tetrahedra 1..n-1 in order, found
+        once per triangulation.  Each expands through the canonically
+        smallest gluing from a placed to an unplaced tetrahedron, so the
+        tree (hence the generator set) does not depend on dict order."""
+        placed, tree = [0], []
+        while len(placed) < self.num_tetrahedra:
+            _, t, f = min((tuple(sorted(((t, f), self.gluings[(t, f)][:2]))), t, f)
+                          for t in placed for f in range(4)
+                          if self.gluings[(t, f)][0] not in placed)
+            tree.append((t, f))
+            placed.append(self.gluings[(t, f)][0])
+        return tuple(tree)
+
+    @cached_property
+    def presentation(self) -> tuple[tuple[tuple[int, int], ...], tuple[str, ...]]:
+        """(generator keys, relator words) of the fundamental group, found
+        once per triangulation: the non-tree face pairings generate, the
+        edge-cycle words relate, and generators occurring once in a relator
+        are eliminated, which leaves two generators (sorted keys, spelled a
+        and b) and one relator for the figure-eight."""
+        tree = {k for key in self.spanning_tree for k in (key, self.gluings[key][:2])}
+        keys = []
+        for key, (t2, f2, _) in self.gluings.items():
+            if key not in tree and (t2, f2) not in keys:
+                keys.append(key)
+        words = [_free_reduce(edge_cycle_word(self, keys, cls[0]))
+                 for cls in self.edge_classes]
+        keys, rels = _eliminate_generators(sorted(keys), [w for w in words if w])
+        if len(keys) > len(_LETTERS):
+            raise DevelopingFailureError("too many surviving generators")
+        letter_of = {kk: _LETTERS[i] for i, kk in enumerate(keys)}
+        return tuple(keys), tuple("".join(letter_of[kk] if s > 0 else letter_of[kk].upper()
+                                          for (kk, s) in r) for r in rels)
+
 
 # ---------------------------------------------------------------------------
 # gluing and cusp residuals
@@ -292,72 +328,38 @@ def _place_through_face(positions, face: int, perm, z_new: complex):
     return tuple(out), A
 
 
-@dataclass(frozen=True)
-class Developed:
-    """Fundamental-set placements and face-pairing deck transformations."""
-
-    placements: tuple            # per tet: developed vertex positions
-    generators: dict             # non-tree gluing key -> unit-det 2x2 matrix
-
-
-def develop(tri: IdealTriangulation, shapes) -> Developed:
-    """Develop one fundamental set and the face-pairing transformations.
-
-    Tetrahedron 0 sits at its normalized positions, and a spanning tree of
-    the face-pairing graph places every other tetrahedron once; each
-    remaining gluing G contributes the deck transformation identifying the
-    far copy with its fundamental placement.
+def develop(tri: IdealTriangulation, shapes) -> tuple[tuple, tuple]:
+    """Placements (per tet, developed vertex positions) of one fundamental
+    set, and the unit-det deck transformation of each generator gluing of
+    ``tri.presentation``, identifying the far copy with its fundamental
+    placement.  Tetrahedron 0 sits at its normalized positions, and the
+    spanning tree places every other tetrahedron once.
     """
     z = np.asarray(shapes, dtype=complex)
     if np.any(np.abs(z) < 1e-10) or np.any(np.abs(1.0 - z) < 1e-10):
         raise DevelopingFailureError("shapes too close to a degenerate tetrahedron")
     placements = {0: _normalized_positions(z[0])}
     maps = {0: np.eye(2, dtype=complex)}
-    tree_keys = set()
-    frontier = [0]
-    while frontier:
-        # expand through the canonically smallest gluing to an unplaced tet,
-        # so the spanning tree (hence the generator set) does not depend on
-        # the order in which the frontier grows
-        options = []
-        for t in frontier:
-            for f in range(4):
-                t2, f2, perm = tri.gluings[(t, f)]
-                if t2 not in placements:
-                    options.append((tuple(sorted(((t, f), (t2, f2)))), t, f))
-        if not options:
-            break
-        _, t, f = min(options)
-        t2, f2, perm = tri.gluings[(t, f)]
-        pos, A = _place_through_face(placements[t], f, perm, z[t2])
-        placements[t2] = pos
-        maps[t2] = A
-        tree_keys.update(((t, f), (t2, f2)))
-        frontier.append(t2)
-    generators = {}
-    seen = set()
-    for (t, f), (t2, f2, perm) in tri.gluings.items():
-        if (t, f) in tree_keys or (t, f) in seen or (t2, f2) in seen:
-            continue
-        seen.add((t, f))
-        seen.add((t2, f2))
+    for t, f in tri.spanning_tree:
+        t2, _, perm = tri.gluings[(t, f)]
+        placements[t2], maps[t2] = _place_through_face(placements[t], f, perm, z[t2])
+    generators = []
+    for t, f in tri.presentation[0]:
+        t2, _, perm = tri.gluings[(t, f)]
         _, A = _place_through_face(placements[t], f, perm, z[t2])
         # deck transformation: far copy of t2 = gamma . fundamental copy
-        gamma = A @ adjugate(maps[t2])
-        generators[(t, f)] = _normalize_det(gamma)
-    return Developed(tuple(placements[t] for t in range(tri.num_tetrahedra)),
-                     generators)
+        generators.append(_normalize_det(A @ adjugate(maps[t2])))
+    return tuple(placements[t] for t in range(tri.num_tetrahedra)), tuple(generators)
 
 
-def edge_cycle_word(tri: IdealTriangulation, developed: Developed,
+def edge_cycle_word(tri: IdealTriangulation, generator_keys,
                     start: tuple[int, int, int]):
     """Walk around an edge class and express the cycle as a deck word.
 
-    Returns a list of (gluing_key, sign) pairs; tree crossings contribute
-    nothing.  The product of the corresponding generator matrices is a
-    relator of the fundamental group.
+    Returns a list of (gluing_key, sign) pairs over ``generator_keys``;
+    tree crossings contribute nothing.  The product of the corresponding
+    generator matrices is a relator of the fundamental group.
     """
-    gen_of = developed.generators
     t, i, j = start
     entered = next(v for v in range(4) if v not in (i, j))
     word = []
@@ -368,9 +370,9 @@ def edge_cycle_word(tri: IdealTriangulation, developed: Developed,
         ct, ci, cj, centered = state
         cross = next(v for v in range(4) if v not in (ci, cj, centered))
         t2, f2, perm = tri.gluings[(ct, cross)]
-        if (ct, cross) in gen_of:
+        if (ct, cross) in generator_keys:
             word.append(((ct, cross), +1))
-        elif (t2, f2) in gen_of:
+        elif (t2, f2) in generator_keys:
             word.append(((t2, f2), -1))
         state = (t2, perm[ci], perm[cj], f2)
         if len(word) > 100:
@@ -481,31 +483,14 @@ def _substitute(word, key, replacement):
 
 def holonomy_from_shapes(tri: IdealTriangulation, shapes) -> Representation:
     """Holonomy representation developed from an edge-equation solution
-    (edge residual at most 1e-8).
-
-    The deck transformations of the non-tree face pairings generate the
-    fundamental group with the edge-cycle words as relators; generators
-    occurring once in a relator are eliminated, which lands on the
-    two-generator one-relator presentation for the figure-eight.
-    """
+    (edge residual at most 1e-8), on the triangulation's presentation."""
     z = np.asarray(shapes, dtype=complex)
     res = gluing_residual(tri, z)
     if res.max_edge() > 1e-8:
         raise ValueError(f"edge residual {res.max_edge():.2e} exceeds 1e-8")
-    dev = develop(tri, z)
-    relator_words = []
-    for cls in tri.edge_classes:
-        w = _free_reduce(edge_cycle_word(tri, dev, cls[0]))
-        if w:
-            relator_words.append(w)
-    keys, rels = _eliminate_generators(sorted(dev.generators.keys()), relator_words)
-    if len(keys) > len(_LETTERS):
-        raise DevelopingFailureError("too many surviving generators")
-    letter_of = {kk: _LETTERS[i] for i, kk in enumerate(keys)}
-    gens = tuple(_normalize_det(dev.generators[kk]) for kk in keys)
-    words = tuple("".join(letter_of[kk] if s > 0 else letter_of[kk].upper()
-                          for (kk, s) in r) for r in rels)
-    return Representation(gens, words)
+    _, generators = develop(tri, z)
+    return Representation(tuple(_normalize_det(g) for g in generators),
+                          tri.presentation[1])
 
 
 # ---------------------------------------------------------------------------

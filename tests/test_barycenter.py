@@ -234,9 +234,10 @@ class TestBarycenter:
         assert res.kind == "boundary-atom"
         assert np.array_equal(res.location.direction, p)
 
-    def test_no_convergence_carries_best(self, rng):
+    def test_no_convergence_carries_best(self, rng, monkeypatch):
         m = random_spread_measure(rng)
-        cfg = bc.SolverConfig(max_iterations=1, gradient_tol=1e-16)
+        monkeypatch.setattr(bc, "MAX_ITERATIONS", 1)
+        cfg = bc.SolverConfig(gradient_tol=1e-16)
         with pytest.raises(bc.NoConvergenceError) as err:
             bc.barycenter(m, cfg)
         assert isinstance(err.value.best, geo.HPoint)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,6 +113,18 @@ class TestBoundaryScan:
         for margin in (0.0, -1e-3, 0.2, 5e-324, np.finfo(float).tiny / 2):
             with pytest.raises(ValueError):
                 spd.collar_supremum(margin)
+
+    # below margin 1e-161 the supremum once underflowed: 0.0 at 1e-162, a
+    # ZeroDivisionError from 1e-200 down; near the smallest normal margin
+    # the ridge bisection of the corner probes warned of overflow
+    @pytest.mark.parametrize("margin", [np.finfo(float).tiny, 1e-300, 1e-200,
+                                        1e-162, 1e-150])
+    def test_collar_supremum_at_tiny_margins(self, margin):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert abs(spd.collar_supremum(margin) - 0.25) <= 1e-15
+            pts = spd._collar_samples_k3(np.random.default_rng(0), margin, 1000)
+        assert np.all(pts.min(axis=1) < margin)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(np.finfo(float).tiny, spd.COLLAR_MARGIN_MAX),

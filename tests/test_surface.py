@@ -11,11 +11,12 @@ test calls belongs in the tests, with ``_oracles`` for reference
 computations.
 
 Nor does it carry options that no caller sets: every defaulted parameter
-of a function or method of ``src/natmap`` must be passed, by keyword or by
-position, in some call in the same code, matched by the callee's name (a
-class name for ``__init__``).  A call with ``*args`` or ``**kwargs`` counts
-as passing every position or keyword.  An option only a test sets is a
-constant.
+of a function or method of ``src/natmap``, and every defaulted field of a
+``@dataclass`` there, must be passed, by keyword or by position, in some
+call in the same code, matched by the callee's name (a class name for
+``__init__`` and for a dataclass).  A call with ``*args`` or ``**kwargs``
+counts as passing every position or keyword.  An option only a test sets is
+a constant.
 """
 
 import ast
@@ -93,20 +94,48 @@ def test_every_definition_is_named_outside_itself():
                          f"or the benchmark: {', '.join(unnamed)}")
 
 
+def _defaulted(node: ast.FunctionDef) -> list:
+    """(position or None for keyword-only, name) of each defaulted parameter."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return ([(i, positional[i].arg) for i in range(first, len(positional))]
+            + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None])
+
+
+def _called_name(node: ast.expr):
+    """``f`` of a decorator or call target ``f``, ``m.f``, ``f(...)``."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _dataclass_fields(node: ast.ClassDef) -> list:
+    """(position, name) of each defaulted field of a ``@dataclass``: its
+    ``__init__`` binds the fields by position in field order and by keyword,
+    and a ``field(init=False, ...)`` not at all."""
+    fields = [sub for sub in node.body if isinstance(sub, ast.AnnAssign)
+              and not any(k.arg == "init" for k in getattr(sub.value, "keywords", ()))]
+    return [(i, sub.target.id) for i, sub in enumerate(fields) if sub.value is not None]
+
+
 def _functions(tree: ast.Module):
     """(callee name, number of leading parameters a call binds implicitly,
-    definition) of each top-level function and method."""
+    definition name, defaulted parameters) of each top-level function and
+    method, and of the generated ``__init__`` of each ``@dataclass``."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, functions):
-            yield node.name, 0, node
+            yield node.name, 0, node.name, _defaulted(node)
         elif isinstance(node, ast.ClassDef):
+            if any(_called_name(d) == "dataclass" for d in node.decorator_list):
+                yield node.name, 0, node.name, _dataclass_fields(node)
             for sub in node.body:
                 if isinstance(sub, functions):
                     static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
                                  for d in sub.decorator_list)
                     name = node.name if sub.name == "__init__" else sub.name
-                    yield name, 0 if static else 1, sub
+                    yield name, 0 if static else 1, sub.name, _defaulted(sub)
 
 
 def never_set_parameters() -> list[str]:
@@ -117,27 +146,20 @@ def never_set_parameters() -> list[str]:
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                func = node.func
-                name = getattr(func, "id", None) or getattr(func, "attr", None)
                 starred = any(isinstance(a, ast.Starred) for a in node.args)
-                calls[name].append((float("inf") if starred else len(node.args),
-                                    {k.arg for k in node.keywords}))
+                calls[_called_name(node)].append(
+                    (float("inf") if starred else len(node.args),
+                     {k.arg for k in node.keywords}))
     out = []
     for path, tree in trees.items():
         if path.parent != LIBRARY:
             continue
-        for name, bound, node in _functions(tree):
-            args = node.args
-            positional = args.posonlyargs + args.args
-            first = len(positional) - len(args.defaults)
-            defaulted = [(i, positional[i].arg) for i in range(first, len(positional))]
-            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
-                          if d is not None]
+        for name, bound, where, defaulted in _functions(tree):
             for index, param in defaulted:
                 if not any(param in kws or None in kws
                            or (index is not None and n + bound > index)
                            for n, kws in calls[name]):
-                    out.append(f"{path.stem}.{node.name}({param})")
+                    out.append(f"{path.stem}.{where}({param})")
     return out
 
 

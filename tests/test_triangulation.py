@@ -88,6 +88,23 @@ class TestCombinatorics:
         rows = {tuple(expo[e].ravel()) for e in range(2)}
         assert rows == {(2, 1, 0, 2, 1, 0), (0, 1, 2, 0, 1, 2)}
 
+    def test_presentation_derived_once_per_triangulation(self, monkeypatch):
+        calls = []
+        eliminate = tr._eliminate_generators
+
+        def counted(*args):
+            calls.append(args)
+            return eliminate(*args)
+
+        monkeypatch.setattr(tr, "_eliminate_generators", counted)
+        fresh = tr.figure_eight()
+        path = tr.deformation_path(fresh, steps=10)
+        assert len(calls) == 1
+        keys, relators = fresh.presentation
+        assert keys == ((0, 1), (0, 2))
+        assert len(relators) == 1
+        assert all(st.representation.relators == relators for st in path)
+
     def test_bad_gluings_rejected(self):
         g = dict(tr._FIG8_GLUINGS)
         g[(0, 2)] = (1, 2, (0, 3, 1, 2))    # not inverse-consistent
@@ -185,8 +202,8 @@ class TestHolonomy:
         w = tr._fig8_partner(z, 0)
         if abs(w - Z0) > 1.0:
             w = tr._fig8_partner(z, 1)
-        dev = tr.develop(tri, [z, w])
-        redone = [oracles.cross_ratio(*pos) for pos in dev.placements]
+        placements, _ = tr.develop(tri, [z, w])
+        redone = [oracles.cross_ratio(*pos) for pos in placements]
         direct = tr.volume_of_shapes(tri, [z, w]).value
         from_dev = float(np.sum(tr.bloch_wigner(np.asarray(redone))))
         assert from_dev == pytest.approx(direct, abs=1e-9)
