@@ -13,7 +13,7 @@ Hessian I - H(y) is nearly singular (collinear support).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .geometry import (
     BoundaryPoint,
     HPoint,
     _exp_chart,
+    busemann_chords,
     busemann_gradients_frame,
     busemann_many,
 )
@@ -61,25 +62,38 @@ class BarycenterResult:
     gradient_norm: float
     iterations: int
     degenerate_support: bool = False
+    # of an interior result, the last Newton step's `busemann_moments` at
+    # the location: the weighted gradients w_i b_i and H = sum w_i b_i b_i^T
+    wb: np.ndarray | None = field(default=None, repr=False, compare=False)
+    H: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
 # the convex functional and its derivatives
 # ---------------------------------------------------------------------------
 
-def _phi_chart(beta: BoundaryMeasure, y: np.ndarray) -> float:
-    """phi(y): weighted Busemann average, convex along geodesics."""
-    return float(np.dot(beta.weights, busemann_many(y, beta.points)))
+def _phi_chart(beta: BoundaryMeasure, y: np.ndarray, chords: tuple | None = None) -> float:
+    """phi(y): weighted Busemann average, convex along geodesics;
+    ``chords`` is ``busemann_chords(y, beta.points)`` when already built."""
+    return float(np.dot(beta.weights, busemann_many(y, beta.points, chords)))
+
+
+def busemann_moments(weights: np.ndarray, points: np.ndarray, y: np.ndarray,
+                     chords: tuple | None = None):
+    """The frame Busemann gradients b_i at y toward ``points``, the
+    weighted rows w_i b_i and H(y) = sum w_i b_i b_i^T; ``chords`` as for
+    `_phi_chart`."""
+    b = busemann_gradients_frame(y, points, chords)
+    # (w b_j) b_l summed over i, the product order of the three-operand
+    # einsum("i,ij,il->jl", w, b, b), so H is bitwise that contraction
+    wb = weights[:, None] * b
+    return b, wb, np.einsum("ij,il->jl", wb, b)
 
 
 def _derivatives(beta: BoundaryMeasure, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian I - H(y) of phi at y in frame components, from
     one array of Busemann gradients."""
-    b = busemann_gradients_frame(y, beta.points)
-    # (w b_j) b_l summed over i, the product order of the three-operand
-    # einsum("i,ij,il->jl", w, b, b), so H is bitwise that contraction
-    wb = beta.weights[:, None] * b
-    H = np.einsum("ij,il->jl", wb, b)
+    b, _, H = busemann_moments(beta.weights, beta.points, y)
     return beta.weights @ b, np.eye(y.size) - H
 
 
@@ -121,14 +135,18 @@ def barycenter(beta: BoundaryMeasure, cfg: SolverConfig | None = None,
         return BarycenterResult(clusters.location, "boundary-atom", float("inf"), 0)
 
     y = _initial_guess(beta)
+    # one chord array per iterate: the derivatives at y and phi(y) share it
+    chords = busemann_chords(y, beta.points)
     degenerate = False
     val = None                        # phi(y), computed when a damped step reads it
     for it in range(1, MAX_ITERATIONS + 1):
-        g, Hf = _derivatives(beta, y)
+        b, wb, H = busemann_moments(beta.weights, beta.points, y, chords)
+        g = beta.weights @ b
         gnorm = float(np.linalg.norm(g))
         if gnorm <= cfg.gradient_tol:
             return BarycenterResult(HPoint(y), "interior", gnorm, it - 1,
-                                    degenerate_support=degenerate)
+                                    degenerate_support=degenerate, wb=wb, H=H)
+        Hf = np.eye(y.size) - H
         eigmin = float(np.linalg.eigvalsh(Hf)[0])
         newton_ok = eigmin >= HESSIAN_FLOOR
         if newton_ok:
@@ -142,10 +160,11 @@ def barycenter(beta: BoundaryMeasure, cfg: SolverConfig | None = None,
             # quadratic-convergence regime: phi decreases by less than float
             # resolution, so backtracking is blind; take the full step
             y = _exp_chart(y, chart_step)
+            chords = busemann_chords(y, beta.points)
             val = None
             continue
         if val is None:
-            val = _phi_chart(beta, y)
+            val = _phi_chart(beta, y, chords)
         # Armijo backtracking along the geodesic through the step
         slope = float(np.dot(g, step_frame))
         if slope >= 0.0:              # numerical safeguard
@@ -158,14 +177,16 @@ def barycenter(beta: BoundaryMeasure, cfg: SolverConfig | None = None,
             # a trial point that rounding puts outside the ball chart is a
             # failed step: phi is not defined there
             if np.dot(cand, cand) < 1.0:
-                trial = _phi_chart(beta, cand)
+                cand_chords = busemann_chords(cand, beta.points)
+                trial = _phi_chart(beta, cand, cand_chords)
                 if trial <= val + ARMIJO_SLOPE * t * slope:
-                    y, val = cand, trial
+                    y, val, chords = cand, trial, cand_chords
                     break
             t *= ARMIJO_CONTRACTION
         else:                         # no trial point passed: step by the final t
             y = _exp_chart(y, t * chart_step)
-            val = _phi_chart(beta, y)
+            chords = busemann_chords(y, beta.points)
+            val = _phi_chart(beta, y, chords)
 
     gnorm = float(np.linalg.norm(_derivatives(beta, y)[0]))
     raise NoConvergenceError(

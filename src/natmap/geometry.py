@@ -137,21 +137,32 @@ def distance(x: HPoint, y: HPoint) -> float:
     return 2.0 * float(np.arcsinh(np.sqrt(q)))
 
 
-def busemann_many(x: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """B(x, theta_i) for an (N, k) array of unit directions, normalized so
-    that B(O, theta) = 0."""
+def busemann_chords(x: np.ndarray, directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The chords x - theta_i to an (N, k) array of unit directions and
+    their squared lengths |x - theta_i|^2: the first step of both Busemann
+    kernels, which a caller evaluating both at one point builds once."""
     diff = x[None, :] - directions
-    return np.log(np.einsum("ij,ij->i", diff, diff) / (1.0 - np.dot(x, x)))
+    return diff, np.einsum("ij,ij->i", diff, diff)
 
 
-def busemann_gradients_frame(x: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """Frame components of grad_x B(x, theta_i), one unit row per direction.
+def busemann_many(x: np.ndarray, directions: np.ndarray,
+                  chords: tuple | None = None) -> np.ndarray:
+    """B(x, theta_i) for an (N, k) array of unit directions, normalized so
+    that B(O, theta) = 0.  ``chords`` is ``busemann_chords(x, directions)``
+    when the caller already holds it."""
+    _, r2 = chords or busemann_chords(x, directions)
+    return np.log(r2 / (1.0 - np.dot(x, x)))
+
+
+def busemann_gradients_frame(x: np.ndarray, directions: np.ndarray,
+                             chords: tuple | None = None) -> np.ndarray:
+    """Frame components of grad_x B(x, theta_i), one unit row per direction;
+    ``chords`` as for `busemann_many`.
 
     The closed form b = x + (1-|x|^2)(x-theta)/|x-theta|^2 has exactly unit
     Euclidean norm, which the operator assembly downstream relies on.
     """
-    diff = x[None, :] - directions
-    r2 = np.einsum("ij,ij->i", diff, diff)
+    diff, r2 = chords or busemann_chords(x, directions)
     return x[None, :] + (1.0 - np.dot(x, x)) * diff / r2[:, None]
 
 

@@ -149,11 +149,27 @@ def pushforward(beta: BoundaryMeasure, g: Isometry) -> BoundaryMeasure:
 
 @dataclass(frozen=True)
 class AtomClusters:
-    """The clusters of a measure's points, weighed by its weights."""
+    """The clusters ``labels`` of a measure's points, weighed by its
+    weights."""
 
-    mass: float               # of the heaviest cluster
-    location: BoundaryPoint   # weighted direction of the heaviest cluster
+    measure: BoundaryMeasure
+    labels: np.ndarray
     masses: np.ndarray        # mass of each cluster
+    top: int                  # the heaviest cluster
+
+    @property
+    def mass(self) -> float:
+        return float(self.masses[self.top])
+
+    @property
+    def location(self) -> BoundaryPoint:
+        """Weighted direction of the heaviest cluster, computed when read:
+        only a measure with a dominant atom needs it."""
+        w, p = self.measure.weights, self.measure.points
+        members = self.labels == self.top
+        loc = np.average(p[members], axis=0, weights=w[members])
+        norm = np.linalg.norm(loc)
+        return BoundaryPoint(p[members][0] if norm < 1e-12 else loc / norm)
 
 
 def atom_labels(points: np.ndarray) -> np.ndarray:
@@ -176,12 +192,5 @@ def max_atom_mass(beta: BoundaryMeasure, labels: np.ndarray) -> AtomClusters:
     """Weigh the clusters ``labels`` (from `atom_labels` of the measure's
     points); ``.mass`` is the largest clustered mass and ``.location`` its
     direction."""
-    w = beta.weights
-    p = beta.points
-    masses = np.bincount(labels, weights=w)
-    top = int(np.argmax(masses))
-    members = labels == top
-    loc = np.average(p[members], axis=0, weights=w[members])
-    norm = np.linalg.norm(loc)
-    loc = p[members][0] if norm < 1e-12 else loc / norm
-    return AtomClusters(float(masses[top]), BoundaryPoint(loc), masses)
+    masses = np.bincount(labels, weights=beta.weights)
+    return AtomClusters(beta, labels, masses, int(np.argmax(masses)))

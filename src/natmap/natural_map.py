@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import spd
-from .barycenter import BarycenterResult, barycenter
+from .barycenter import BarycenterResult, barycenter, busemann_moments
 from .geometry import (
     HPoint,
     Isometry,
@@ -41,6 +41,21 @@ K_CONDITION_FLOOR = 1e-6
 ORBIT_LENGTH_TOL = 1e-6
 # slack of the Jacobian determinant bound check
 BOUND_TOL = 1e-3
+# Largest |sum_i w_i a_i| at which the natural map at x is solved, with w_i
+# the visual weights at x and a_i the frame Busemann gradients at x toward
+# the nodes.  The exact visual measure seen from x has its barycenter at x,
+# so this sum is the quadrature error of a vanishing integral: how far the
+# weights stop resolving the density at x.  For the identity map H(x) = I/k
+# there, and one Newton step moves F(x) from x by k/(k-1) times the sum, so
+# this tolerance keeps d(F(x), x) within 3e-4 at k = 3 and 4e-4 at any
+# k >= 2, inside the 5e-4 budget of the identity checks.  Measured with
+# the identity map on 3,800 probes up to radius 4 (2,048 and 8,192 nodes,
+# every second one drawn close to the product rule's polar axis): d(F(x), x)
+# is 1.50 times the sum at the median, and at most 3.0e-4 wherever the sum
+# is at most 2e-4.  The effective node count 1/sum(w_i^2) cannot gate
+# this: near the polar axis, where the rule's rings crowd, it reads up to
+# 325 where the drift exceeds 5e-4.
+CENTERING_TOL = 2e-4
 
 
 class ElementaryRepresentationError(ValueError):
@@ -49,8 +64,8 @@ class ElementaryRepresentationError(ValueError):
 
 
 class UnresolvedVisualMeasureError(ValueError):
-    """One quadrature node holds half the visual measure: the rule is too
-    coarse for the density at this basepoint."""
+    """The visual weights at a basepoint are off centre (``CENTERING_TOL``):
+    the quadrature rule is too coarse for the density there."""
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +121,9 @@ class Representation:
         if max_word_length not in self._orbit_sources:
             words = _reduced_word_tree(len(self.generators), max_word_length)
             spins = _word_spins(self, words)
-            lox = _spin_translation_lengths(spins) > ORBIT_LENGTH_TOL
-            fixed = _attracting_fixed_points(spins[lox])
+            root_det = np.sqrt(np.linalg.det(spins))
+            lox = _spin_translation_lengths(spins, root_det) > ORBIT_LENGTH_TOL
+            fixed = _attracting_fixed_points(spins[lox], root_det[lox])
             arrays = [lox, fixed] + [a for level in words for a in level if a is not None]
             for a in arrays:
                 a.setflags(write=False)
@@ -145,22 +161,25 @@ def _word_spins(rep: Representation, levels) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _spin_translation_lengths(mats: np.ndarray) -> np.ndarray:
-    """``translation_length`` of each spin matrix of an (n, 2, 2) stack."""
-    tr = np.trace(mats, axis1=1, axis2=2) / np.sqrt(np.linalg.det(mats))
+def _spin_translation_lengths(mats: np.ndarray, root_det: np.ndarray) -> np.ndarray:
+    """``translation_length`` of each spin matrix of an (n, 2, 2) stack,
+    given the square roots of their determinants."""
+    # bitwise np.trace: a two-term diagonal sums in this order
+    tr = (mats[:, 0, 0] + mats[:, 1, 1]) / root_det
     ell = 2.0 * np.abs(np.arccosh(tr / 2.0).real)
     return np.where(ell > 1e-12, ell, 0.0)
 
 
-def _attracting_fixed_points(mats: np.ndarray) -> np.ndarray:
+def _attracting_fixed_points(mats: np.ndarray, root_det: np.ndarray) -> np.ndarray:
     """(n, 3) attracting fixed points of an (n, 2, 2) stack of loxodromic
-    spin matrices, as ``loxodromic_fixed_points`` finds them one at a time.
+    spin matrices, given the square roots of their determinants, as
+    ``loxodromic_fixed_points`` finds them one at a time.
 
     Rounding in ill-conditioned words reaches the points, so this keeps
     the LAPACK eigenvectors of the determinant-normalised matrices rather
     than the closed-form roots of the fixed-point quadratic.
     """
-    A = mats / np.sqrt(np.linalg.det(mats))[:, None, None]
+    A = mats / root_det[:, None, None]
     vals, vecs = np.linalg.eig(A)
     v = vecs[np.arange(len(A)), :, np.argmax(np.abs(vals), axis=1)]
     finite = np.abs(v[:, 1]) > 1e-14 * np.abs(v[:, 0])
@@ -228,9 +247,11 @@ class OrbitBoundaryMap:
 
     approximate = True
 
-    def __init__(self, table_source: np.ndarray, target_spins: np.ndarray):
+    def __init__(self, table_source: np.ndarray, target_spins: np.ndarray,
+                 target_root_det: np.ndarray):
         self.table_source = table_source
         self._target_spins = target_spins
+        self._target_root_det = target_root_det
         self._target = np.empty((len(target_spins), 3))
         self._filled = np.zeros(len(target_spins), dtype=bool)
         self.source_dim = table_source.shape[1]
@@ -253,20 +274,22 @@ class OrbitBoundaryMap:
             raise ValueError("representations must share a generating set")
         words, src_lox, src_fixed = source._orbit_table_source(max_word_length)
         tgt = _word_spins(target, words)
-        tgt_lox = _spin_translation_lengths(tgt) > ORBIT_LENGTH_TOL
+        tgt_root_det = np.sqrt(np.linalg.det(tgt))
+        tgt_lox = _spin_translation_lengths(tgt, tgt_root_det) > ORBIT_LENGTH_TOL
         keep = src_lox & tgt_lox
         n = int(keep.sum())
         if n < min_table:
             raise ValueError(
                 f"orbit table too small ({n} < {min_table}); "
                 "increase max_word_length")
-        return cls(src_fixed[tgt_lox[src_lox]], tgt[keep])
+        return cls(src_fixed[tgt_lox[src_lox]], tgt[keep], tgt_root_det[keep])
 
     def _fill(self, idx: np.ndarray) -> None:
-        # LAPACK solves each matrix of a batch on its own, so an entry is
-        # bitwise the same whichever batch computes it
+        # LAPACK factors and solves each matrix of a batch on its own, so
+        # an entry is bitwise the same whichever batch computes it
         need = np.unique(idx[~self._filled[idx]])
-        self._target[need] = _attracting_fixed_points(self._target_spins[need])
+        self._target[need] = _attracting_fixed_points(self._target_spins[need],
+                                                      self._target_root_det[need])
         self._filled[need] = True
 
     @property
@@ -284,11 +307,28 @@ class OrbitBoundaryMap:
 # the natural map
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Evaluation:
+    """The natural map at one basepoint x: the visual weights w_i there,
+    the frame Busemann gradients a_i at x toward the nodes, and the
+    interior barycenter of the pushed weights, whose last Newton step holds
+    the weighted gradients w_i b_i and H at the image."""
+
+    weights: np.ndarray
+    a: np.ndarray
+    result: BarycenterResult
+
+    @property
+    def image(self) -> HPoint:
+        return self.result.location
+
+
 class PushedFamily:
     """Visual family pushed through a boundary map: fixed image atoms,
     basepoint-dependent weights.  The node images and their atom clusters
     (``labels``, read-only) are computed once, so each solve only weighs
-    the clusters."""
+    the clusters.  The family keeps the `Evaluation` of its latest
+    ``evaluate``, which the operators at that basepoint read."""
 
     def __init__(self, D, family: VisualFamily):
         if D.source_dim != family.dimension:
@@ -303,6 +343,7 @@ class PushedFamily:
         self.target_dim = self.images.shape[1]
         self.labels = atom_labels(self.images)
         self.labels.setflags(write=False)
+        self._latest = None       # (x.tobytes(), Evaluation) of the last evaluate
 
     def weights_at(self, x: np.ndarray) -> np.ndarray:
         k = self.family.dimension
@@ -312,25 +353,48 @@ class PushedFamily:
     def measure_at(self, x: np.ndarray) -> BoundaryMeasure:
         return BoundaryMeasure(self.weights_at(x), self.images)
 
-
-def _solve_barycenter(pushed: PushedFamily, beta: BoundaryMeasure) -> BarycenterResult:
-    res = barycenter(beta, labels=pushed.labels)
-    if res.kind != "interior":
-        # far from the origin the density is narrower than the node spacing
-        top = float(beta.weights.max())
-        if top >= 0.5:
+    def solve(self, x: np.ndarray) -> Evaluation:
+        """The natural map at x, if the visual weights there resolve the
+        density (see ``CENTERING_TOL``)."""
+        beta = self.measure_at(x)
+        w = beta.weights
+        a = busemann_gradients_frame(x, self.nodes)
+        off = float(np.linalg.norm(w @ a))
+        if not off <= CENTERING_TOL:
             raise UnresolvedVisualMeasureError(
-                f"one of {beta.weights.size} quadrature nodes carries {top:.3f} "
-                "of the visual measure; the rule cannot resolve it here")
-        raise ElementaryRepresentationError(
-            "pushed visual measure concentrates at an ideal point")
-    return res
+                f"the visual weights are off centre by {off:.2e} > {CENTERING_TOL} "
+                f"(one of {w.size} quadrature nodes carries {float(w.max()):.3f} of "
+                "the measure); the rule cannot resolve the density here")
+        res = barycenter(beta, labels=self.labels)
+        if res.kind != "interior":
+            raise ElementaryRepresentationError(
+                "pushed visual measure concentrates at an ideal point")
+        return Evaluation(w, a, res)
+
+    def evaluate(self, x: np.ndarray) -> Evaluation:
+        """``solve(x)``, kept as the latest record with its arrays made
+        read-only; the nodes, images and labels never change, so it stays
+        valid."""
+        record = self.solve(x)
+        res = record.result
+        for arr in (record.weights, record.a, res.location.coords, res.wb, res.H):
+            arr.setflags(write=False)
+        self._latest = (x.tobytes(), record)
+        return record
+
+    def latest(self, x: np.ndarray) -> Evaluation | None:
+        """The latest record if it was evaluated at x, else None."""
+        if self._latest is not None and self._latest[0] == x.tobytes():
+            return self._latest[1]
+        return None
 
 
 def natural_map(rho: Representation | None, pushed: PushedFamily, family: VisualFamily,
                 x: HPoint) -> HPoint:
-    """F(x): barycenter of the pushforward under D of the visual measure at x."""
-    return _solve_barycenter(pushed, pushed.measure_at(x.coords)).location
+    """F(x): barycenter of the pushforward under D of the visual measure at x.
+
+    Each call solves afresh and leaves its record to `operators_at`."""
+    return pushed.evaluate(x.coords).image
 
 
 @dataclass(frozen=True)
@@ -351,18 +415,28 @@ class OperatorPair:
 
 def operators_at(rho: Representation | None, pushed: PushedFamily, family: VisualFamily,
                  x: HPoint, image: HPoint | None = None) -> OperatorPair:
+    """The operators at x and its image, F(x) when ``image`` is None.
+
+    At the image of the family's latest record at x, solved here if there
+    is none, the weighted gradients and H are that solve's last step; at
+    any other image they are built there, without a solve."""
     xc = x.coords
-    w = pushed.weights_at(xc)
+    record = pushed.latest(xc)
     if image is None:
-        image = _solve_barycenter(pushed, BoundaryMeasure(w, pushed.images)).location
-    b = busemann_gradients_frame(image.coords, pushed.images)
-    # one weighted array for both contractions, each bitwise its
-    # three-operand einsum("i,ij,il->jl", w, b, .)
-    wb = w[:, None] * b
-    H = np.einsum("ij,il->jl", wb, b)
-    a = busemann_gradients_frame(xc, pushed.nodes)
+        if record is None:
+            record = pushed.evaluate(xc)
+        image = record.image
+    if record is None:
+        w, a = pushed.weights_at(xc), busemann_gradients_frame(xc, pushed.nodes)
+    else:
+        w, a = record.weights, record.a
+    if record is not None and np.array_equal(image.coords, record.image.coords):
+        wb, H = record.result.wb, record.result.H
+    else:
+        _, wb, H = busemann_moments(w, pushed.images, image.coords)
+    # bitwise the three-operand einsum("i,ij,il->jl", w, b, a)
     L = np.einsum("ij,il->jl", wb, a)
-    return OperatorPair(H, np.eye(H.shape[0]) - H, L, x, image)
+    return OperatorPair(H.copy(), np.eye(H.shape[0]) - H, L, x, image)
 
 
 @dataclass(frozen=True)
@@ -387,8 +461,8 @@ def _finite_difference_DF(pushed: PushedFamily, x: np.ndarray,
     for i in range(k):
         step = np.zeros(k)
         step[i] = FD_STEP * chart_scale
-        fp = _solve_barycenter(pushed, pushed.measure_at(_exp_chart(x, step))).location
-        fm = _solve_barycenter(pushed, pushed.measure_at(_exp_chart(x, -step))).location
+        fp = pushed.solve(_exp_chart(x, step)).image
+        fm = pushed.solve(_exp_chart(x, -step)).image
         diff = _log_chart(image.coords, fp.coords) - _log_chart(image.coords, fm.coords)
         cols.append(lam_f * diff / (2.0 * FD_STEP))
     return np.column_stack(cols)

@@ -481,11 +481,13 @@ def _substitute(word, key, replacement):
     return out
 
 
-def holonomy_from_shapes(tri: IdealTriangulation, shapes) -> Representation:
+def holonomy_from_shapes(tri: IdealTriangulation, shapes,
+                         residual: ResidualReport | None = None) -> Representation:
     """Holonomy representation developed from an edge-equation solution
-    (edge residual at most 1e-8), on the triangulation's presentation."""
+    (edge residual at most 1e-8), on the triangulation's presentation;
+    ``residual`` is ``gluing_residual(tri, shapes)`` when the caller has it."""
     z = np.asarray(shapes, dtype=complex)
-    res = gluing_residual(tri, z)
+    res = gluing_residual(tri, z) if residual is None else residual
     if res.max_edge() > 1e-8:
         raise ValueError(f"edge residual {res.max_edge():.2e} exceeds 1e-8")
     _, generators = develop(tri, z)
@@ -589,7 +591,7 @@ def deformation_path(tri: IdealTriangulation, steps: int = 50,
 
 def _path_step(tri: IdealTriangulation, t: float, shapes: np.ndarray) -> PathStep:
     res = gluing_residual(tri, shapes)
-    rep = holonomy_from_shapes(tri, shapes)
+    rep = holonomy_from_shapes(tri, shapes, res)
     poles = np.concatenate([np.abs(shapes), np.abs(1.0 - shapes),
                             1.0 / np.maximum(np.abs(shapes), 1e-30)])
     return PathStep(t, shapes, volume_of_shapes(tri, shapes), rep,

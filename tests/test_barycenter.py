@@ -87,35 +87,45 @@ class TestDerivatives:
 
     def test_one_gradient_array_per_step(self, rng, monkeypatch):
         # gradient and Hessian share one array of Busemann gradients, so a
-        # solve builds one per Newton step and one at the converged point
+        # solve builds one per Newton step and one at the converged point,
+        # each from the chords the iterate already holds
         calls = []
         inner = bc.busemann_gradients_frame
 
-        def counted(*args):
-            calls.append(1)
-            return inner(*args)
+        def counted(x, directions, chords=None):
+            calls.append(chords)
+            return inner(x, directions, chords)
 
         monkeypatch.setattr(bc, "busemann_gradients_frame", counted)
         for _ in range(5):
             calls.clear()
             res = bc.barycenter(random_spread_measure(rng))
             assert len(calls) == res.iterations + 1
+            assert all(c is not None for c in calls)
 
     def test_phi_never_repeats_a_point(self, rng, monkeypatch):
-        # an accepted Armijo trial point keeps its phi value, so phi is not
-        # evaluated again at the new iterate
-        points = []
-        inner = bc.busemann_many
+        # an accepted Armijo trial point keeps its phi value and its chord
+        # array, and phi at an iterate reads the chords its derivatives
+        # used, so neither phi nor |y - theta|^2 is evaluated again at a point
+        phi_points, chord_points = [], []
+        inner_phi, inner_chords = bc.busemann_many, bc.busemann_chords
 
-        def recorded(x, directions):
-            points.append(x.copy())
-            return inner(x, directions)
+        def recorded_phi(x, directions, chords=None):
+            phi_points.append(x.copy())
+            assert chords is not None
+            return inner_phi(x, directions, chords)
 
-        monkeypatch.setattr(bc, "busemann_many", recorded)
+        def recorded_chords(x, directions):
+            chord_points.append(x.copy())
+            return inner_chords(x, directions)
+
+        monkeypatch.setattr(bc, "busemann_many", recorded_phi)
+        monkeypatch.setattr(bc, "busemann_chords", recorded_chords)
         for _ in range(20):
             bc.barycenter(random_spread_measure(rng))
-        assert len(points) > 20
-        assert not any(np.array_equal(p, q) for p, q in zip(points, points[1:]))
+        for points in (phi_points, chord_points):
+            assert len(points) > 20
+            assert not any(np.array_equal(p, q) for p, q in zip(points, points[1:]))
 
     def test_hessian_trace_is_k_minus_one(self, rng):
         for k in (2, 3, 5):

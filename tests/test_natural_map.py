@@ -219,6 +219,21 @@ class TestNaturalMapExactCases:
         with pytest.raises(nm.ElementaryRepresentationError):
             nm.natural_map(None, pushed, fam2000, O3)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.0, 4.0), st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+    def test_identity_resolved_or_gated(self, radius, direction):
+        # out to radius 4, the identity's natural map stays within the
+        # 5e-4 displacement budget wherever the weights resolve the density
+        d = np.asarray(direction)
+        assume(np.linalg.norm(d) >= 1e-3)
+        x = geo.HPoint(np.tanh(radius / 2.0) * d / np.linalg.norm(d))
+        try:
+            F = nm.natural_map(None, IDENTITY, FAM, x)
+        except nm.UnresolvedVisualMeasureError:
+            assert radius > 2.0
+            return
+        assert geo.distance(F, x) <= 5e-4
+
     def test_unresolved_density_far_out(self, fam2000):
         # at distance 3.5 from the origin, toward a node, that node carries
         # over half the visual mass: the identity is not elementary, the
@@ -326,6 +341,114 @@ class TestWeightedOuterProducts:
             a = geo.busemann_gradients_frame(x.coords, pushed.nodes)
             assert np.array_equal(pair.H, oracles.weighted_outer(w, b, b))
             assert np.array_equal(pair.L, oracles.weighted_outer(w, b, a))
+
+
+def _operators_reference(pushed, x):
+    """F(x), H and L as a fresh solve and gradient arrays rebuilt at its
+    image give them, with the three-operand contractions."""
+    image = bary.barycenter(pushed.measure_at(x.coords), labels=pushed.labels).location
+    w = pushed.weights_at(x.coords)
+    b = geo.busemann_gradients_frame(image.coords, pushed.images)
+    a = geo.busemann_gradients_frame(x.coords, pushed.nodes)
+    return image.coords, oracles.weighted_outer(w, b, b), oracles.weighted_outer(w, b, a)
+
+
+def _boundary_map(case, holonomy, fig8_path):
+    if case == "identity":
+        return nm.identity_boundary_map(3)
+    if case == "mobius":
+        return nm.MobiusBoundaryMap(geo.random_isometry(np.random.default_rng(4), 3, 0.5, 0.5))
+    if case == "geodesic-m5":
+        return nm.TotallyGeodesicBoundaryMap(3, 5)
+    return nm.OrbitBoundaryMap.build(holonomy, fig8_path[3].representation, min_table=5000)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Measures of the barycenter solves the natural map makes."""
+    calls = []
+
+    def counted(beta, labels=None):
+        calls.append(beta)
+        return bary.barycenter(beta, labels=labels)
+
+    monkeypatch.setattr(nm, "barycenter", counted)
+    return calls
+
+
+class TestEvaluationRecord:
+    """The operators at a basepoint read the solve's last Newton step from
+    the family's latest record, bitwise what rebuilding them gives."""
+
+    @pytest.mark.parametrize("case", ["identity", "mobius", "geodesic-m5", "orbit"])
+    def test_operators_bitwise_in_any_order(self, case, fam2000, holonomy, fig8_path):
+        D = _boundary_map(case, holonomy, fig8_path)
+        rng = np.random.default_rng(21)
+        xs = [random_ball_point(rng, max_radius=0.8) for _ in range(3)]
+        want = [_operators_reference(nm.PushedFamily(D, fam2000), x) for x in xs]
+
+        def check(pair, i):
+            image, H, L = want[i]
+            assert np.array_equal(pair.image.coords, image)
+            assert np.array_equal(pair.H, H) and np.array_equal(pair.L, L)
+            assert np.array_equal(pair.K, np.eye(H.shape[0]) - H)
+
+        pushed = nm.PushedFamily(D, fam2000)
+        for i, x in enumerate(xs):          # the map, then its operators
+            F = nm.natural_map(None, pushed, fam2000, x)
+            check(nm.operators_at(None, pushed, fam2000, x, image=F), i)
+            check(nm.operators_at(None, pushed, fam2000, x), i)
+        for i, x in enumerate(xs):          # operators alone, on fresh families
+            check(nm.operators_at(None, nm.PushedFamily(D, fam2000), fam2000, x), i)
+        pushed = nm.PushedFamily(D, fam2000)
+        images = [nm.natural_map(None, pushed, fam2000, x) for x in xs]
+        for i in (0, 2, 1, 0):              # other basepoints in between
+            check(nm.operators_at(None, pushed, fam2000, xs[i], image=images[i]), i)
+            check(nm.operators_at(None, pushed, fam2000, xs[i]), i)
+
+    def test_one_solve_per_basepoint(self, fam2000, solves):
+        pushed = nm.PushedFamily(nm.identity_boundary_map(3), fam2000)
+        x = geo.HPoint(np.array([0.2, -0.1, 0.3]))
+        y = geo.HPoint(np.array([-0.3, 0.1, 0.1]))
+        F = nm.natural_map(None, pushed, fam2000, x)
+        pair = nm.operators_at(None, pushed, fam2000, x, image=F)
+        nm.operators_at(None, pushed, fam2000, x)
+        nm.jacobian(None, pushed, fam2000, x, "implicit")
+        assert len(solves) == 1
+        # an image other than the record's is worked at, not solved for
+        other = nm.operators_at(None, pushed, fam2000, x, image=y)
+        assert len(solves) == 1 and other.image is y
+        nm.operators_at(None, pushed, fam2000, y)
+        assert len(solves) == 2
+        # the record now sits at y: x is solved again, bit for bit
+        again = nm.operators_at(None, pushed, fam2000, x)
+        assert len(solves) == 3
+        assert np.array_equal(again.H, pair.H) and np.array_equal(again.L, pair.L)
+        # the map itself solves at each call
+        nm.natural_map(None, pushed, fam2000, x)
+        assert len(solves) == 4
+
+    def test_writes_do_not_reach_the_record(self, fam2000):
+        pushed = nm.PushedFamily(nm.identity_boundary_map(3), fam2000)
+        x = geo.HPoint(np.array([0.1, 0.25, -0.2]))
+        _, H, L = _operators_reference(pushed, x)
+        pair = nm.operators_at(None, pushed, fam2000, x)
+        pair.H[:] = 0.0
+        pair.K[:] = 0.0
+        pair.L[:] = 0.0
+        again = nm.operators_at(None, pushed, fam2000, x)
+        assert np.array_equal(again.H, H) and np.array_equal(again.L, L)
+        record = pushed.latest(x.coords)
+        arrays = (record.weights, record.a, record.image.coords,
+                  record.result.wb, record.result.H)
+        assert not any(arr.flags.writeable for arr in arrays)
+        with pytest.raises(ValueError):
+            again.image.coords[0] = 0.0
+        # the key is the basepoint's value, not the array that carried it
+        moved = x.coords.copy()
+        moved[0] += 0.1
+        assert pushed.latest(moved) is None
+        assert pushed.latest(x.coords.copy()) is record
 
 
 class TestOperators:

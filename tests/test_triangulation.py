@@ -215,6 +215,24 @@ class TestHolonomy:
     def test_residual_gate(self, tri):
         with pytest.raises(ValueError):
             tr.holonomy_from_shapes(tri, [Z0 + 0.1, Z0])
+        # a residual handed in by the caller is gated the same way
+        off = [Z0 + 0.1, Z0]
+        with pytest.raises(ValueError):
+            tr.holonomy_from_shapes(tri, off, tr.gluing_residual(tri, off))
+
+    def test_one_residual_per_path_step(self, tri, monkeypatch):
+        # each step's residual both fills its record and gates its holonomy
+        calls = []
+        inner = tr.gluing_residual
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(tr, "gluing_residual", counted)
+        path = tr.deformation_path(tr.figure_eight(), 50)
+        assert len(path) == 51
+        assert len(calls) == 51
 
 
 class TestCuspRows:
