@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from . import criteria, spd
 from .barycenter import SolverConfig
 from .geometry import HPoint, random_isometry
 from .measures import VisualFamily, atomic_measure
+from .natural_map import UnresolvedVisualMeasureError
 from .triangulation import (FIG8_VOLUME, deformation_path, figure_eight,
                             sample_gluing_variety)
 
@@ -45,6 +47,16 @@ class _Report:
     def note(self, name: str, passed: bool, detail: str = "") -> None:
         self.assertions.append({"name": name, "pass": bool(passed),
                                 "detail": detail})
+
+    @contextmanager
+    def resolving(self, section: str):
+        """Runs one section of the checks.  Where the quadrature cannot
+        resolve the visual density at a basepoint, as at a coarse --nodes,
+        the section ends as one failed assertion instead of a traceback."""
+        try:
+            yield
+        except UnresolvedVisualMeasureError as exc:
+            self.note(f"{section}_visual_measure_resolved", False, str(exc))
 
     @property
     def passed(self) -> bool:
@@ -195,38 +207,43 @@ def cmd_natural_map_suite(args) -> int:
         return 2
     probes = _ball_probes(np.random.default_rng(args.seed), 50, 0.05, 1.0)
 
-    ident = criteria.identity_checks(probes, fam)
-    _write_csv(Path(args.out), "natural-map-identity.csv",
-               "probe,displacement,jac,bound",
-               [f"{i},{_fmt(d)},{_fmt(j)},{_fmt(b)}" for i, (d, j, b) in enumerate(ident.rows)])
-    rep.check("identity_displacement", ident.displacement, 5e-4,
-              budget=f"{fam.quadrature()[0].shape[0]} nodes, solver 1e-10")
-    rep.check("identity_displacement_4N", ident.displacement_fine, 2.5e-4,
-              budget="four-fold node refinement")
-    rep.check("H_isotropy", ident.h_deviation, 1e-3)
-    rep.check("jacobian_identity", ident.jac_deviation, 1e-3)
-    rep.check("bound_value_identity", ident.bound_deviation, 1e-3)
+    with rep.resolving("identity"):
+        ident = criteria.identity_checks(probes, fam)
+        _write_csv(Path(args.out), "natural-map-identity.csv",
+                   "probe,displacement,jac,bound",
+                   [f"{i},{_fmt(d)},{_fmt(j)},{_fmt(b)}"
+                    for i, (d, j, b) in enumerate(ident.rows)])
+        rep.check("identity_displacement", ident.displacement, 5e-4,
+                  budget=f"{fam.quadrature()[0].shape[0]} nodes, solver 1e-10")
+        rep.check("identity_displacement_4N", ident.displacement_fine, 2.5e-4,
+                  budget="four-fold node refinement")
+        rep.check("H_isotropy", ident.h_deviation, 1e-3)
+        rep.check("jacobian_identity", ident.jac_deviation, 1e-3)
+        rep.check("bound_value_identity", ident.bound_deviation, 1e-3)
 
     if args.m > 3:
-        copy = criteria.geodesic_copy_checks(probes[:20], fam, args.m)
-        for _ in range(copy.bound_failures):
-            rep.note("restricted_bound", False)
-        rep.check("geodesic_copy_confinement", copy.confinement, 5e-4)
-        rep.check("geodesic_copy_agreement", copy.agreement, 5e-4)
-        rep.check("restricted_H_isotropy", copy.h_deviation, 1e-3)
+        with rep.resolving("geodesic_copy"):
+            copy = criteria.geodesic_copy_checks(probes[:20], fam, args.m)
+            for _ in range(copy.bound_failures):
+                rep.note("restricted_bound", False)
+            rep.check("geodesic_copy_confinement", copy.confinement, 5e-4)
+            rep.check("geodesic_copy_agreement", copy.agreement, 5e-4)
+            rep.check("restricted_H_isotropy", copy.h_deviation, 1e-3)
 
     # deformed configurations with the orbit-approximation boundary map
     path = deformation_path(figure_eight(), steps=20, t_end=0.6)
-    deformed = criteria.deformed_jacobian_checks(
-        path, [probes[i % len(probes)] for i in range(1, len(path))], fam)
-    _write_csv(Path(args.out), "natural-map-deformed.csv",
-               "parameter,jac,bound,label",
-               [f"{_fmt(t)},{_fmt(j)},{_fmt(b)},approximate-D" for t, j, b in deformed.rows])
-    rep.check("deformed_jac_below_one", deformed.jac, 1.0 + 5e-3,
-              budget="orbit table >= 5000 words, labeled approximate-D")
-    rep.check("deformed_bound_margin", -deformed.bound_margin, 1e-3,
-              budget="bound minus measured Jacobian")
-    rep.check("fd_vs_implicit", deformed.fd_gap, 1e-3, budget="fd step 1e-4")
+    with rep.resolving("deformed"):
+        deformed = criteria.deformed_jacobian_checks(
+            path, [probes[i % len(probes)] for i in range(1, len(path))], fam)
+        _write_csv(Path(args.out), "natural-map-deformed.csv",
+                   "parameter,jac,bound,label",
+                   [f"{_fmt(t)},{_fmt(j)},{_fmt(b)},approximate-D"
+                    for t, j, b in deformed.rows])
+        rep.check("deformed_jac_below_one", deformed.jac, 1.0 + 5e-3,
+                  budget="orbit table >= 5000 words, labeled approximate-D")
+        rep.check("deformed_bound_margin", -deformed.bound_margin, 1e-3,
+                  budget="bound minus measured Jacobian")
+        rep.check("fd_vs_implicit", deformed.fd_gap, 1e-3, budget="fd step 1e-4")
     return rep.dump(Path(args.out))
 
 
@@ -268,25 +285,26 @@ def cmd_rigidity_report(args) -> int:
         return 2
     path = deformation_path(figure_eight(), steps=args.steps)
     probes = _ball_probes(np.random.default_rng(args.seed), 4, 0.1, 0.5)
-    diag = criteria.path_diagnostics(path, VisualFamily(3, args.nodes), probes)
-    rows = []
-    for r in diag.rows:
-        lens = ";".join(f"{v:.12g}" for v in r.translation_lengths)
-        rows.append(f"{r.parameter:.12g},{r.probe_index},{r.jac:.12g},{r.h_deviation:.12g},"
-                    f"{r.h_lambda_max:.12g},{r.h_eigen_dev:.12g},{r.df_norm:.12g},"
-                    f"{r.lipschitz:.12g},{lens},{r.volume:.12g},{r.volume_deficit:.12g},"
-                    f"{int(r.approximate_boundary_map)}")
-    _write_csv(Path(args.out), "rigidity-report.csv",
-               "parameter,probe_index,jac,H_dev,H_lambda_max,H_eigen_dev,DF_norm,"
-               "lipschitz,translation_lengths,volume,volume_deficit,approximate_D",
-               rows)
-    for name, ok in zip(("H_deviation_monotone", "jac_deviation_monotone",
-                         "deficit_monotone"), diag.monotone):
-        rep.note(name, ok)
-    rep.check("derivative_norm_bound", diag.df_norm,
-              float(np.sqrt(3) + 4.5 * diag.eigen_dev),
-              budget=f"eps = max eigenvalue deviation of H from 1/3 over the "
-                     f"{diag.regime_steps} steps with lambda_max <= 2/3")
+    with rep.resolving("diagnostics"):
+        diag = criteria.path_diagnostics(path, VisualFamily(3, args.nodes), probes)
+        rows = []
+        for r in diag.rows:
+            lens = ";".join(f"{v:.12g}" for v in r.translation_lengths)
+            rows.append(f"{r.parameter:.12g},{r.probe_index},{r.jac:.12g},{r.h_deviation:.12g},"
+                        f"{r.h_lambda_max:.12g},{r.h_eigen_dev:.12g},{r.df_norm:.12g},"
+                        f"{r.lipschitz:.12g},{lens},{r.volume:.12g},{r.volume_deficit:.12g},"
+                        f"{int(r.approximate_boundary_map)}")
+        _write_csv(Path(args.out), "rigidity-report.csv",
+                   "parameter,probe_index,jac,H_dev,H_lambda_max,H_eigen_dev,DF_norm,"
+                   "lipschitz,translation_lengths,volume,volume_deficit,approximate_D",
+                   rows)
+        for name, ok in zip(("H_deviation_monotone", "jac_deviation_monotone",
+                             "deficit_monotone"), diag.monotone):
+            rep.note(name, ok)
+        rep.check("derivative_norm_bound", diag.df_norm,
+                  float(np.sqrt(3) + 4.5 * diag.eigen_dev),
+                  budget=f"eps = max eigenvalue deviation of H from 1/3 over the "
+                         f"{diag.regime_steps} steps with lambda_max <= 2/3")
     return rep.dump(Path(args.out))
 
 

@@ -25,6 +25,7 @@ from .geometry import (
     _exp_chart,
     _log_chart,
     adjugate,
+    busemann_chords,
     busemann_gradients_frame,
     busemann_many,
     conformal_factor,
@@ -345,27 +346,25 @@ class PushedFamily:
         self.labels.setflags(write=False)
         self._latest = None       # (x.tobytes(), Evaluation) of the last evaluate
 
-    def weights_at(self, x: np.ndarray) -> np.ndarray:
+    def source_side(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The visual weights w_i at x and the frame Busemann gradients a_i
+        at x toward the nodes, both from one array of chords."""
+        chords = busemann_chords(x, self.nodes)
         k = self.family.dimension
-        raw = self.base_weights * np.exp(-(k - 1) * busemann_many(x, self.nodes))
-        return raw / raw.sum()
-
-    def measure_at(self, x: np.ndarray) -> BoundaryMeasure:
-        return BoundaryMeasure(self.weights_at(x), self.images)
+        raw = self.base_weights * np.exp(-(k - 1) * busemann_many(x, self.nodes, chords))
+        return raw / raw.sum(), busemann_gradients_frame(x, self.nodes, chords)
 
     def solve(self, x: np.ndarray) -> Evaluation:
         """The natural map at x, if the visual weights there resolve the
         density (see ``CENTERING_TOL``)."""
-        beta = self.measure_at(x)
-        w = beta.weights
-        a = busemann_gradients_frame(x, self.nodes)
+        w, a = self.source_side(x)
         off = float(np.linalg.norm(w @ a))
         if not off <= CENTERING_TOL:
             raise UnresolvedVisualMeasureError(
                 f"the visual weights are off centre by {off:.2e} > {CENTERING_TOL} "
                 f"(one of {w.size} quadrature nodes carries {float(w.max()):.3f} of "
                 "the measure); the rule cannot resolve the density here")
-        res = barycenter(beta, labels=self.labels)
+        res = barycenter(BoundaryMeasure(w, self.images), labels=self.labels)
         if res.kind != "interior":
             raise ElementaryRepresentationError(
                 "pushed visual measure concentrates at an ideal point")
@@ -427,7 +426,7 @@ def operators_at(rho: Representation | None, pushed: PushedFamily, family: Visua
             record = pushed.evaluate(xc)
         image = record.image
     if record is None:
-        w, a = pushed.weights_at(xc), busemann_gradients_frame(xc, pushed.nodes)
+        w, a = pushed.source_side(xc)
     else:
         w, a = record.weights, record.a
     if record is not None and np.array_equal(image.coords, record.image.coords):

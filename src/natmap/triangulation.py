@@ -482,15 +482,13 @@ def _substitute(word, key, replacement):
 
 
 def holonomy_from_shapes(tri: IdealTriangulation, shapes,
-                         residual: ResidualReport | None = None) -> Representation:
-    """Holonomy representation developed from an edge-equation solution
-    (edge residual at most 1e-8), on the triangulation's presentation;
-    ``residual`` is ``gluing_residual(tri, shapes)`` when the caller has it."""
-    z = np.asarray(shapes, dtype=complex)
-    res = gluing_residual(tri, z) if residual is None else residual
-    if res.max_edge() > 1e-8:
-        raise ValueError(f"edge residual {res.max_edge():.2e} exceeds 1e-8")
-    _, generators = develop(tri, z)
+                         residual: ResidualReport) -> Representation:
+    """Holonomy representation developed from an edge-equation solution,
+    on the triangulation's presentation; ``residual``, the shapes'
+    ``gluing_residual``, must have its edge residual at most 1e-8."""
+    if residual.max_edge() > 1e-8:
+        raise ValueError(f"edge residual {residual.max_edge():.2e} exceeds 1e-8")
+    _, generators = develop(tri, np.asarray(shapes, dtype=complex))
     return Representation(tuple(_normalize_det(g) for g in generators),
                           tri.presentation[1])
 

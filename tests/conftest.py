@@ -33,8 +33,10 @@ def random_sphere_point(rng, k=3):
 
 def visual_measure(family, x):
     """The visual measure seen from the ball point x, on the family's nodes."""
+    from natmap.measures import BoundaryMeasure
     from natmap.natural_map import PushedFamily, identity_boundary_map
-    return PushedFamily(identity_boundary_map(family.dimension), family).measure_at(x.coords)
+    pushed = PushedFamily(identity_boundary_map(family.dimension), family)
+    return BoundaryMeasure(pushed.source_side(x.coords)[0], pushed.images)
 
 
 def spin_boost(length):

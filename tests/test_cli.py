@@ -50,6 +50,21 @@ class TestSubcommands:
                     "--out", str(tmp_path)]) == 2
         assert not any(tmp_path.iterdir())
 
+    # an 18-node rule cannot resolve the visual density at the probes
+    # (the natural map refuses from radius 0.22): each section of checks
+    # ends as one failed assertion, where it once raised a traceback
+    @pytest.mark.parametrize("argv, sections", [
+        (["rigidity-report", "--steps", "2"], ["diagnostics"]),
+        (["natural-map-suite", "--m", "4"], ["identity", "geodesic_copy", "deformed"])])
+    def test_coarse_nodes_report_unresolved_sections(self, tmp_path, argv, sections):
+        assert run(argv + ["--nodes", "9", "--out", str(tmp_path)]) == 1
+        data = json.loads((tmp_path / f"{argv[0]}.json").read_text())
+        assert [a["name"] for a in data["assertions"]] == [
+            f"{s}_visual_measure_resolved" for s in sections]
+        assert all(not a["pass"] and "off centre" in a["detail"]
+                   for a in data["assertions"])
+        assert [f.name for f in tmp_path.iterdir()] == [f"{argv[0]}.json"]
+
     # --nodes 0 once ran an 8-node rule and reported PASS; volume-path
     # --steps 0 failed on an empty sequence
     @pytest.mark.parametrize("command, flag", [

@@ -98,7 +98,7 @@ def _uncached(rep):
 def stationarity_residual(pushed, x, image):
     """Norm of the integrated Busemann differential at the image of x."""
     b = geo.busemann_gradients_frame(image.coords, pushed.images)
-    return float(np.linalg.norm(pushed.weights_at(x.coords) @ b))
+    return float(np.linalg.norm(pushed.source_side(x.coords)[0] @ b))
 
 
 class TestOrbitTable:
@@ -301,7 +301,8 @@ class TestClusterOnce:
             calls = len(label_calls)
             got = nm.natural_map(None, pushed, fam2000, x)
             assert len(label_calls) == calls
-            want = bary.barycenter(pushed.measure_at(x.coords)).location
+            beta = ms.BoundaryMeasure(pushed.source_side(x.coords)[0], pushed.images)
+            want = bary.barycenter(beta).location
             assert len(label_calls) == calls + 1
             assert np.array_equal(got.coords, want.coords)
 
@@ -336,7 +337,7 @@ class TestWeightedOuterProducts:
             x = random_ball_point(rng, k, 1.0)
             image = random_ball_point(rng, m, 1.0)
             pair = nm.operators_at(None, pushed, family, x, image)
-            w = pushed.weights_at(x.coords)
+            w = pushed.source_side(x.coords)[0]
             b = geo.busemann_gradients_frame(image.coords, pushed.images)
             a = geo.busemann_gradients_frame(x.coords, pushed.nodes)
             assert np.array_equal(pair.H, oracles.weighted_outer(w, b, b))
@@ -346,10 +347,9 @@ class TestWeightedOuterProducts:
 def _operators_reference(pushed, x):
     """F(x), H and L as a fresh solve and gradient arrays rebuilt at its
     image give them, with the three-operand contractions."""
-    image = bary.barycenter(pushed.measure_at(x.coords), labels=pushed.labels).location
-    w = pushed.weights_at(x.coords)
+    w, a = pushed.source_side(x.coords)
+    image = bary.barycenter(ms.BoundaryMeasure(w, pushed.images), labels=pushed.labels).location
     b = geo.busemann_gradients_frame(image.coords, pushed.images)
-    a = geo.busemann_gradients_frame(x.coords, pushed.nodes)
     return image.coords, oracles.weighted_outer(w, b, b), oracles.weighted_outer(w, b, a)
 
 
@@ -517,7 +517,7 @@ class TestJacobian:
             raise AssertionError("the implicit Jacobian recomputed the pair's inputs")
 
         monkeypatch.setattr(nm, "busemann_gradients_frame", recomputed)
-        monkeypatch.setattr(nm.PushedFamily, "weights_at", recomputed)
+        monkeypatch.setattr(nm.PushedFamily, "source_side", recomputed)
         j = nm.jacobian(None, pushed, fam2000, x, "implicit", pair=pair)
         assert np.array_equal(j.DF, 2 * np.linalg.solve(pair.K, pair.L))
 
