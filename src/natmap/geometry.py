@@ -26,7 +26,6 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 LORENTZ_FORM_TOL = 1e-10
 BOUNDARY_NORM_TOL = 1e-12
@@ -240,6 +239,8 @@ def random_isometry(rng: np.random.Generator, k: int,
                     translation_scale: float = 1.0,
                     rotation_scale: float = 1.0) -> Isometry:
     """Random element of Isom+(H^k) via the exponential of a so(k,1) element."""
+    from scipy.linalg import expm
+
     a = translation_scale * rng.standard_normal(k)
     omega = rotation_scale * rng.standard_normal((k, k))
     omega = (omega - omega.T) / 2.0

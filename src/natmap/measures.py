@@ -12,10 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
-from scipy.special import roots_jacobi
 
 from .geometry import BoundaryPoint, Isometry
 
@@ -35,6 +31,8 @@ def _product_sphere(dim_sphere: int, order: int) -> tuple[np.ndarray, np.ndarray
         ang = 2.0 * np.pi * np.arange(n) / n
         pts = np.column_stack([np.cos(ang), np.sin(ang)])
         return pts, np.full(n, 1.0 / n)
+    from scipy.special import roots_jacobi
+
     alpha = (dim_sphere - 2) / 2.0
     t, wt = roots_jacobi(order, alpha, alpha)
     sub_pts, sub_w = _product_sphere(dim_sphere - 1, order)
@@ -178,6 +176,10 @@ def atom_labels(points: np.ndarray) -> np.ndarray:
     The labels run over 0..ncomp-1 and depend on the points alone, so a
     family whose points stay fixed while its weights move clusters once.
     """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
+
     n = points.shape[0]
     chord = 2.0 * np.sin(ATOM_CLUSTER_TOL / 2.0)
     pairs = cKDTree(points).query_pairs(r=chord, output_type="ndarray")

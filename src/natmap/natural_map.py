@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import spd
 from .barycenter import BarycenterResult, barycenter, busemann_moments
@@ -250,6 +249,8 @@ class OrbitBoundaryMap:
 
     def __init__(self, table_source: np.ndarray, target_spins: np.ndarray,
                  target_root_det: np.ndarray):
+        from scipy.spatial import cKDTree
+
         self.table_source = table_source
         self._target_spins = target_spins
         self._target_root_det = target_root_det

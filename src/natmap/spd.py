@@ -30,9 +30,29 @@ def psi(H) -> float | np.ndarray:
 
 
 def psi_simplex(a) -> float | np.ndarray:
-    """psi read on the eigenvalue simplex: prod a_i / (1 - a_i)^2."""
+    """psi read on the eigenvalue simplex: prod a_i / (1 - a_i)^2.
+
+    Each 1 - a_i is read as the sum of the other coordinates, so that a
+    coordinate near 1 loses no digits to cancellation.  On the simplex only
+    the largest coordinate can have a small 1 - a_i.  Each row scales that
+    sum, and its other coordinates, by the power of two 2^-e that brings
+    the sum to [1/2, 1), so that products of small coordinates do not
+    underflow.  Powers of two commute with rounding: where nothing
+    underflows, the bits are those of the unscaled formula.
+    """
     c = np.asarray(a, dtype=float)
-    val = np.prod(c / (1.0 - c) ** 2, axis=-1)
+    k = c.shape[-1]
+    # one contiguous row per coordinate: reductions over a short last axis are slow
+    c = np.ascontiguousarray(np.moveaxis(c, -1, 0))
+    rest = sum(np.roll(c, s, axis=0) for s in range(1, k))
+    low = rest.min(axis=0)
+    e = np.frexp(low)[1]
+    top = rest == low
+    shift = -e * ~top
+    val = np.prod(np.ldexp(c, shift) / np.ldexp(rest, -e - shift) ** 2, axis=0)
+    # a scaled numerator carries 2^-e and a scaled denominator 2^2e; counting
+    # each tie at the smallest sum undoes the scaling for any input row
+    val = np.ldexp(val, e * (k - 3 * top.sum(axis=0)))
     return float(val) if np.ndim(val) == 0 else val
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -213,6 +217,20 @@ class TestDeterminism:
                         "--seed", "7", "--out", str(out)]) == 0
         assert (a / "psi-scan.json").read_bytes() == (b / "psi-scan.json").read_bytes()
 
+    def test_psi_converse_byte_identical(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert run(["psi-converse", "--trials", "20000", "--seed", "7",
+                        "--out", str(out)]) == 0
+        assert (a / "psi-converse.json").read_bytes() == (b / "psi-converse.json").read_bytes()
+
+    def test_volume_path_byte_identical(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert run(["volume-path", "--steps", "12", "--out", str(out)]) == 0
+        for name in ("volume-path.json", "volume-path.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
     def test_barycenter_suite_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -228,3 +246,26 @@ class TestDeterminism:
                         "--out", str(out)]) == 0
         for name in ("rigidity-report.json", "rigidity-report.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+# Every natmap module, and the psi and volume subcommands, run without
+# scipy: it is imported inside the functions that call it.  Checked in a
+# fresh interpreter, since this one has imported scipy already.
+_NO_SCIPY_SCRIPT = """
+import sys
+from natmap import barycenter, cli, criteria, measures, natural_map, triangulation
+out = sys.argv[1]
+for argv in (["psi-converse"], ["psi-scan", "--samples", "2000"], ["volume-path"]):
+    assert cli.main(argv + ["--out", out]) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_psi_and_volume_commands_import_no_scipy(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from natmap import spd
 import _oracles as oracles
@@ -143,6 +143,22 @@ class TestBoundaryScan:
         reports = [spd.boundary_bound_scan(3, margin, n, seed=s) for s in range(10)]
         assert all(rep == reports[0] for rep in reports)
         assert reports[0].passed
+
+    # psi_simplex once formed 1 - c from c near 1: the scan read above the
+    # supremum from margin 1e-6 down and inf below about 1e-16, and rows
+    # whose two small coordinates multiplied to a subnormal read nan
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(np.log(np.finfo(float).tiny), np.log(spd.COLLAR_MARGIN_MAX)))
+    @example(np.log(np.finfo(float).tiny))
+    @example(np.log(1e-6))
+    def test_k3_scan_exact_at_small_margins(self, log_margin):
+        margin = min(max(float(np.exp(log_margin)), np.finfo(float).tiny),
+                     spd.COLLAR_MARGIN_MAX)
+        rep = spd.boundary_bound_scan(3, margin, 10_000, seed=0)
+        rows = spd._collar_samples_k3(np.random.default_rng(0), margin, 10_000)
+        assert np.all(np.isfinite(spd.psi_simplex(rows)))
+        assert rep.max_value <= spd.collar_supremum(margin) + 1e-12
+        assert rep.passed
 
     def test_non_vertex_sequences_vanish(self):
         for alpha in (0.2, 0.5, 0.8):
