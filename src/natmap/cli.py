@@ -348,12 +348,14 @@ _COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and, by name, the parser of each subcommand."""
     ap = argparse.ArgumentParser(prog="natmap",
                                  description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, func, help_text, flags, seed in _COMMANDS:
-        sp = sub.add_parser(name, help=help_text)
+        sp = commands[name] = sub.add_parser(name, help=help_text)
         for flag, kind, default in flags:
             sp.add_argument(flag, type=kind, default=default)
         sp.add_argument("--seed", type=int, default=seed)
@@ -361,11 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", type=str, default=None,
                         help="JSON file with flag defaults; explicit flags win")
         sp.set_defaults(func=func)
-    return ap
+    return ap, commands
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap, commands = build_parser()
     args = ap.parse_args(argv)
     if args.config:
         try:
@@ -376,26 +378,19 @@ def main(argv=None) -> int:
         if not isinstance(overrides, dict):
             print("config error: the file must hold one JSON object", file=sys.stderr)
             return 2
-        explicit = {a.split("=", 1)[0] for a in (argv or sys.argv[1:])
-                    if a.startswith("--")}
-        # a key names an option of the subcommand, and its value passes
-        # through the same type as the flag it sets
-        kinds = {"--seed": int, "--out": str}
-        kinds.update((flag, kind) for name, _, _, flags, _ in _COMMANDS
-                     if name == args.command for flag, kind, _ in flags)
-        for key, value in overrides.items():
-            flag = "--" + key.replace("_", "-")
-            if flag not in kinds:
+        options = {"--seed", "--out"}.union(
+            flag for name, _, _, flags, _ in _COMMANDS if name == args.command
+            for flag, _, _ in flags)
+        for key in overrides:
+            if "--" + key.replace("_", "-") not in options:
                 print(f"config error: {key}: not an option of {args.command}",
                       file=sys.stderr)
                 return 2
-            try:
-                value = kinds[flag](str(value))
-            except (argparse.ArgumentTypeError, ValueError) as exc:
-                print(f"config error: {key}: {exc}", file=sys.stderr)
-                return 2
-            if flag not in explicit:
-                setattr(args, flag[2:].replace("-", "_"), value)
+        # the values become the subcommand's defaults, as strings, so the
+        # second parse types them like their flags and explicit flags win
+        commands[args.command].set_defaults(
+            **{key.replace("-", "_"): str(value) for key, value in overrides.items()})
+        args = ap.parse_args(argv)
     # looked up by name at call time, so a rebinding of natmap.cli.cmd_*
     # after the parser was built (a tracer's wrapper) is the one that runs
     return globals()[args.func.__name__](args)

@@ -22,8 +22,7 @@ from .natural_map import (OrbitBoundaryMap, PushedFamily,
                           identity_boundary_map, jacobian,
                           jacobian_bound_check, natural_map, operators_at)
 from .triangulation import (FIG8_COMPLETE_SHAPE, FIG8_VOLUME, VolumeValue,
-                            bloch_wigner, figure_eight, gluing_residual,
-                            volume_of_shapes)
+                            bloch_wigner)
 
 TIGHT = SolverConfig(gradient_tol=1e-12)
 
@@ -161,10 +160,10 @@ def deformed_jacobian_checks(path, probes, family: VisualFamily) -> DeformedJaco
 
 @dataclass(frozen=True)
 class VolumeChecks:
-    edge_residual: float      # complete shapes
+    edge_residual: float      # complete structure path[0]
     cusp_residual: float
     volume: VolumeValue
-    relator_residual: float   # complete holonomy path[0]
+    relator_residual: float
     generator_translation: float
     path_deficit: float       # smallest Vol(M) - Vol(rho_t) over t >= 1e-2
     tail_deficit: float | None  # the same over steps within 1e-2 of a pole
@@ -174,11 +173,11 @@ class VolumeChecks:
 
 
 def volume_checks(path, samples: np.ndarray) -> VolumeChecks:
-    """The complete structure, the deformation ``path`` and the (n, 2)
-    gluing-variety ``samples`` of the figure-eight knot complement."""
-    tri, z0 = figure_eight(), FIG8_COMPLETE_SHAPE
-    res = gluing_residual(tri, [z0, z0])
-    hol = path[0].representation
+    """The complete structure ``path[0]``, the deformation ``path`` and
+    the (n, 2) gluing-variety ``samples`` of the figure-eight knot
+    complement."""
+    complete, z0 = path[0], FIG8_COMPLETE_SHAPE
+    hol = complete.representation
     rows = [(st.t, st.shapes, st.volume.value, FIG8_VOLUME - st.volume.value,
              tuple(translation_length(g) for g in st.representation.generators))
             for st in path]
@@ -186,7 +185,7 @@ def volume_checks(path, samples: np.ndarray) -> VolumeChecks:
     vols = bloch_wigner(samples[:, 0]) + bloch_wigner(samples[:, 1])
     dist = np.maximum(np.abs(samples[:, 0] - z0), np.abs(samples[:, 1] - z0))
     return VolumeChecks(
-        res.max_edge(), res.max_cusp(), volume_of_shapes(tri, [z0, z0]),
+        complete.edge_residual, complete.cusp_residual, complete.volume,
         max(hol.relator_residual(r) for r in hol.relators),
         max(translation_length(g) for g in hol.generators),
         min(d for (t, _, _, d, _) in rows if t >= 1e-2),

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import spd
 from .barycenter import BarycenterResult, barycenter, busemann_moments
 from .geometry import (
     HPoint,
@@ -409,7 +408,6 @@ class OperatorPair:
     H: np.ndarray
     K: np.ndarray
     L: np.ndarray
-    basepoint: HPoint
     image: HPoint
 
 
@@ -436,7 +434,7 @@ def operators_at(rho: Representation | None, pushed: PushedFamily, family: Visua
         _, wb, H = busemann_moments(w, pushed.images, image.coords)
     # bitwise the three-operand einsum("i,ij,il->jl", w, b, a)
     L = np.einsum("ij,il->jl", wb, a)
-    return OperatorPair(H.copy(), np.eye(H.shape[0]) - H, L, x, image)
+    return OperatorPair(H.copy(), np.eye(H.shape[0]) - H, L, image)
 
 
 @dataclass(frozen=True)
@@ -496,11 +494,8 @@ def jacobian(rho: Representation | None, pushed: PushedFamily, family: VisualFam
 
 @dataclass(frozen=True)
 class BoundReport:
-    jac_measured: float
     bound: float
     margin: float
-    psi_link_error: float     # |bound - (4/3)^(3/2) sqrt(psi(H))| when k = m = 3
-    restricted: bool
     passed: bool
 
 
@@ -514,20 +509,14 @@ def jacobian_bound_check(pair: OperatorPair, jac: JacobianResult,
     """
     const = (k - 1) ** k / k ** (k / 2.0)
     if m == k:
-        HV = pair.H
-        KV = pair.K
-        restricted = False
+        HV, KV = pair.H, pair.K
     else:
         Q, _ = np.linalg.qr(jac.DF)       # orthonormal basis of the image of DF
         HV = Q.T @ pair.H @ Q
         KV = Q.T @ pair.K @ Q
-        restricted = True
     bound = const * np.sqrt(max(np.linalg.det(HV), 0.0)) / np.linalg.det(KV)
-    psi_err = float("nan")
-    if k == m == 3:
-        psi_err = abs(bound - (4.0 / 3.0) ** 1.5 * np.sqrt(spd.psi(pair.H)))
-    return BoundReport(jac.jac_k, float(bound), float(bound - jac.jac_k),
-                       psi_err, restricted, bool(jac.jac_k <= bound + BOUND_TOL))
+    return BoundReport(float(bound), float(bound - jac.jac_k),
+                       bool(jac.jac_k <= bound + BOUND_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +567,6 @@ def convergence_diagnostics(entries, family: VisualFamily, probes,
             rows.append(DiagnosticsRow(
                 float(t), i, float(jac.jac_k), hdev, float(eigs[-1]),
                 float(np.max(np.abs(eigs - 1.0 / m))), jac.operator_norm, lip,
-                lengths, float(vol), float(reference_volume - vol),
-                getattr(D, "approximate", False)))
+                lengths, float(vol), float(reference_volume - vol), D.approximate))
     return rows
 

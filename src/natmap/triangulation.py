@@ -119,13 +119,9 @@ _SLOT_OF_PAIR = {
 }
 
 
-def slot_values(z: complex) -> tuple[complex, complex, complex]:
-    return z, 1.0 / (1.0 - z), 1.0 - 1.0 / z
-
-
 def slot_logs(z: complex) -> tuple[complex, complex, complex]:
-    a, b, c = slot_values(z)
-    return cmath.log(a), cmath.log(b), cmath.log(c)
+    """Logs of the three slot parameters z, 1/(1-z) and 1 - 1/z."""
+    return cmath.log(z), cmath.log(1.0 / (1.0 - z)), cmath.log(1.0 - 1.0 / z)
 
 
 @dataclass(frozen=True)
@@ -183,13 +179,10 @@ class IdealTriangulation:
             groups.setdefault(find(index[e]), []).append(e)
         return tuple(tuple(g) for g in sorted(groups.values(), key=lambda g: (len(g), g)))
 
+    @cached_property
     def edge_exponents(self) -> np.ndarray:
         """(n_edges, n_tets, 3) slot exponent array of the edge equations,
         built once per triangulation and read-only."""
-        return self._edge_exponents
-
-    @cached_property
-    def _edge_exponents(self) -> np.ndarray:
         out = np.zeros((len(self.edge_classes), self.num_tetrahedra, 3), dtype=int)
         for e, cls in enumerate(self.edge_classes):
             for (t, i, j) in cls:
@@ -242,7 +235,6 @@ class IdealTriangulation:
 class ResidualReport:
     edge: np.ndarray          # log-sum minus 2 pi i, per edge class
     cusp: np.ndarray          # cusp-row log combinations (0 when complete)
-    branch_flags: np.ndarray  # slot log close to the principal branch cut
 
     def max_edge(self) -> float:
         return float(np.max(np.abs(self.edge)))
@@ -257,11 +249,10 @@ def gluing_residual(tri: IdealTriangulation, shapes) -> ResidualReport:
     if np.any((z == 0) | (z == 1)):
         raise ValueError("shape parameter at a pole")
     logs = np.array([slot_logs(zi) for zi in z])          # (T, 3)
-    expo = tri.edge_exponents()                           # (E, T, 3)
+    expo = tri.edge_exponents                             # (E, T, 3)
     edge = np.einsum("etc,tc->e", expo, logs) - TWO_PI_I
     cusp = np.array([np.sum(np.asarray(row) * logs) for row in tri.cusp_rows])
-    flags = np.abs(np.abs(logs.imag) - np.pi) < 1e-6
-    return ResidualReport(edge, cusp, flags)
+    return ResidualReport(edge, cusp)
 
 
 @dataclass(frozen=True)
@@ -270,7 +261,7 @@ class VolumeValue:
     error_estimate: float
 
 
-def volume_of_shapes(tri: IdealTriangulation, shapes) -> VolumeValue:
+def volume_of_shapes(shapes) -> VolumeValue:
     """Signed dilogarithm volume of a shape assignment."""
     z = np.asarray(shapes, dtype=complex)
     vals = bloch_wigner(z)
@@ -516,12 +507,12 @@ def solve_edge_equations(tri: IdealTriangulation, start):
     """
     z = np.asarray(start, dtype=complex).copy()
     free = list(range(1, z.size))
-    expo = tri.edge_exponents()
+    expo = tri.edge_exponents
     for _ in range(80):
         logs = np.array([slot_logs(zi) for zi in z])
         F = np.einsum("etc,tc->e", expo, logs) - TWO_PI_I
         if np.max(np.abs(F)) < 1e-12:
-            return z, float(np.max(np.abs(F)))
+            return z
         # d slot_logs / dz = (1/z, 1/(1-z), 1/(z(z-1)))
         J = np.zeros((expo.shape[0], len(free)), dtype=complex)
         for col, t in enumerate(free):
@@ -574,7 +565,7 @@ def deformation_path(tri: IdealTriangulation, steps: int = 50,
                 for j in range(1, pieces + 1):
                     tt = sub_from + (sub_to - sub_from) * j / pieces
                     trial[0] = z0 + tt * (1.0 - z0)     # toward the pole at 1
-                    trial, _ = solve_edge_equations(tri, trial)
+                    trial = solve_edge_equations(tri, trial)
                 got = trial
                 break
             except ContinuationStallError:
@@ -592,7 +583,7 @@ def _path_step(tri: IdealTriangulation, t: float, shapes: np.ndarray) -> PathSte
     rep = holonomy_from_shapes(tri, shapes, res)
     poles = np.concatenate([np.abs(shapes), np.abs(1.0 - shapes),
                             1.0 / np.maximum(np.abs(shapes), 1e-30)])
-    return PathStep(t, shapes, volume_of_shapes(tri, shapes), rep,
+    return PathStep(t, shapes, volume_of_shapes(shapes), rep,
                     res.max_edge(), res.max_cusp(), float(poles.min()))
 
 

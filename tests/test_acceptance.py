@@ -10,6 +10,7 @@ scanned and exact, stays at or below the vertex-limit bound
 point (y, y, 1-2y), y = 9.99e-4, already has Psi > 0.2504 (see README).
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -163,6 +164,18 @@ def test_criterion_06_jacobian_bound(fig8_tri):
 def _volume_checks(path):
     samples = tr.sample_gluing_variety(np.random.default_rng(8), 10_000)
     return criteria.volume_checks(path, samples)
+
+
+# the complete structure's residuals and volume were once recomputed on a
+# second triangulation instead of read from path[0]
+def test_volume_checks_read_complete_structure_from_path(fig8_full_path):
+    complete = dataclasses.replace(fig8_full_path[0], edge_residual=0.125,
+                                   cusp_residual=0.25)
+    path = [complete] + fig8_full_path[1:]
+    samples = tr.sample_gluing_variety(np.random.default_rng(8), 100)
+    res = criteria.volume_checks(path, samples)
+    assert (res.edge_residual, res.cusp_residual) == (0.125, 0.25)
+    assert res.volume is complete.volume
 
 
 def test_criterion_07_figure_eight_volume(fig8_full_path):

@@ -90,7 +90,11 @@ class TestSubcommands:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: 0}))
         out = tmp_path / "out"
-        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        try:
+            code = run([command, "--config", str(cfg), "--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
         assert not out.exists()
 
     def test_volume_path(self, tmp_path):
@@ -139,8 +143,12 @@ class TestSubcommands:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(overrides))
         out = tmp_path / "out"
-        assert run(["psi-scan", "--samples", "100", "--config", str(cfg),
-                    "--out", str(out)]) == 2
+        try:
+            code = run(["psi-scan", "--samples", "100", "--config", str(cfg),
+                        "--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
         assert not out.exists()
 
     # --k 2 once ended in a ValueError traceback and --k 1 in a
@@ -192,6 +200,15 @@ class TestSubcommands:
                     "--out", str(tmp_path)]) == 0
         data = json.loads((tmp_path / "psi-scan.json").read_text())
         assert data["params"]["samples"] == 1000
+
+    # an abbreviated flag once lost to the config file's value
+    def test_abbreviated_flag_wins(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"samples": 5000}))
+        assert run(["psi-scan", "--samp", "2000", "--config", str(cfg),
+                    "--out", str(tmp_path)]) == 0
+        data = json.loads((tmp_path / "psi-scan.json").read_text())
+        assert data["params"]["samples"] == 2000
 
     def test_bad_config_exit_2(self, tmp_path):
         cfg = tmp_path / "broken.json"

