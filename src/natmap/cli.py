@@ -102,12 +102,10 @@ def cmd_psi_scan(args) -> int:
     except ValueError as exc:
         print(f"usage error: --margin: {exc}", file=sys.stderr)
         return 2
-    rng = np.random.default_rng(args.seed)
     rep.check("psi_at_center", abs(spd.psi(np.eye(k) / k) - spd.psi_max(k)),
               1e-14, budget="closed-form determinants")
-    H = spd.random_trace_one_spd(rng, k, args.samples)
-    vals = spd.psi(H)
-    rep.check("random_sample_bound", float(vals.max()),
+    rep.check("random_sample_bound",
+              spd.random_psi_max(np.random.default_rng(args.seed), k, args.samples),
               spd.psi_max(k) + 1e-12, budget=f"{args.samples} Dirichlet+QR samples")
     if k == 3:
         rep.check("collar_max_vs_exact_sup", scan.max_value, scan.threshold,

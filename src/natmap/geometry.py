@@ -281,29 +281,27 @@ def loxodromic_fixed_points(A: np.ndarray) -> tuple[BoundaryPoint, BoundaryPoint
 # spin (2x2 complex) utilities for k = 3
 # ---------------------------------------------------------------------------
 
-_PAULI = [
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-]
+_PAULI = np.array([
+    [[1, 0], [0, 1]],
+    [[0, 1], [1, 0]],
+    [[0, -1j], [1j, 0]],
+    [[1, 0], [0, -1]],
+], dtype=complex)
 
 
 def psl2_to_lorentz(A: np.ndarray) -> Isometry:
     """Orientation-preserving isometry of H^3 from a 2x2 complex matrix.
 
     The matrix acts on Hermitian forms X -> A X A*; in the Pauli basis this
-    is a Lorentz matrix on R^(3,1).  A is normalized to unit determinant.
+    is a Lorentz matrix on R^(3,1), L[mu, nu] = Re tr(s_mu A s_nu A*) / 2,
+    with all 16 products formed in one stacked chain.  A is normalized to
+    unit determinant.
     """
     A = np.asarray(A, dtype=complex)
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
     A = A / cmath.sqrt(det)
-    L = np.empty((4, 4))
-    for mu in range(4):
-        for nu in range(4):
-            L[mu, nu] = 0.5 * np.real(
-                np.trace(_PAULI[mu] @ A @ _PAULI[nu] @ A.conj().T))
-    return Isometry(L)
+    chain = ((_PAULI[:, None] @ A) @ _PAULI[None, :]) @ A.conj().T
+    return Isometry(0.5 * np.real(np.trace(chain, axis1=2, axis2=3)))
 
 
 def sphere_from_complex(z: complex) -> BoundaryPoint:

@@ -7,6 +7,12 @@ with k >= 3 it is bounded by (k/(k-1)^2)^k, attained exactly at H = I/k;
 for k = 2 it is unbounded.  This module certifies those facts numerically:
 random-sample bounds, scans of the simplex boundary collar, and a
 quantitative converse locating the high-level sets of psi near I/k.
+
+The checks run in blocks of `BLOCK_ROWS` rows: besides the points a check
+draws (eigenvalue rows, collar samples), no check holds more than one
+block of matrices or simplex points, and the temporaries of one block fit
+in cache.  Every formula here is row-wise and every reduction over rows is
+an exact max, so the block size changes no reported bit.
 """
 
 from __future__ import annotations
@@ -15,6 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# rows of matrices or simplex points evaluated at once
+BLOCK_ROWS = 8192
+
 
 def psi_max(k: int) -> float:
     """Supremum (k/(k-1)^2)^k of psi on trace-one SPD matrices, k >= 3."""
@@ -38,36 +48,60 @@ def psi_simplex(a) -> float | np.ndarray:
     sum, and its other coordinates, by the power of two 2^-e that brings
     the sum to [1/2, 1), so that products of small coordinates do not
     underflow.  Powers of two commute with rounding: where nothing
-    underflows, the bits are those of the unscaled formula.
+    underflows, the bits are those of the unscaled formula.  Rows are
+    evaluated `BLOCK_ROWS` at a time.
     """
     c = np.asarray(a, dtype=float)
     k = c.shape[-1]
-    # one contiguous row per coordinate: reductions over a short last axis are slow
-    c = np.ascontiguousarray(np.moveaxis(c, -1, 0))
-    rest = sum(np.roll(c, s, axis=0) for s in range(1, k))
-    low = rest.min(axis=0)
-    e = np.frexp(low)[1]
-    top = rest == low
-    shift = -e * ~top
-    val = np.prod(np.ldexp(c, shift) / np.ldexp(rest, -e - shift) ** 2, axis=0)
-    # a scaled numerator carries 2^-e and a scaled denominator 2^2e; counting
-    # each tie at the smallest sum undoes the scaling for any input row
-    val = np.ldexp(val, e * (k - 3 * top.sum(axis=0)))
+    rows = c.reshape(-1, k)
+    val = np.empty(rows.shape[0])
+    for start in range(0, rows.shape[0], BLOCK_ROWS):
+        # one contiguous row per coordinate: reductions over a short last axis are slow
+        b = np.ascontiguousarray(rows[start:start + BLOCK_ROWS].T)
+        rest = sum(np.roll(b, s, axis=0) for s in range(1, k))
+        low = rest.min(axis=0)
+        e = np.frexp(low)[1]
+        top = rest == low
+        shift = -e * ~top
+        v = np.prod(np.ldexp(b, shift) / np.ldexp(rest, -e - shift) ** 2, axis=0)
+        # a scaled numerator carries 2^-e and a scaled denominator 2^2e; counting
+        # each tie at the smallest sum undoes the scaling for any input row
+        val[start:start + BLOCK_ROWS] = np.ldexp(v, e * (k - 3 * top.sum(axis=0)))
+    val = val.reshape(c.shape[:-1])
     return float(val) if np.ndim(val) == 0 else val
 
 
-def random_trace_one_spd(rng: np.random.Generator, k: int, size: int) -> np.ndarray:
-    """(size, k, k) random trace-one SPD matrices.
+def random_trace_one_spd(rng: np.random.Generator, eigs: np.ndarray) -> np.ndarray:
+    """(n, k, k) random conjugates Q diag(e) Q^T of the n simplex points e
+    in the rows of ``eigs``.
 
-    Eigenvalues uniform on the simplex (a flat Dirichlet), conjugated by Q
-    from the QR factorization of a Gaussian matrix.
+    Q comes from the QR factorization of a Gaussian matrix.  Haar measure
+    asks for R's diagonal to be made positive by flipping columns of Q, but
+    H needs no such fix: a flipped column q_j enters H only through the
+    exact products (-q_ij e_j)(-q_kj), so H keeps every bit.  H is summed
+    as (q_ij e_j) q_kj over j in order, in coordinate-major arrays, and the
+    result is a view of them.
     """
-    eigs = rng.dirichlet(np.ones(k), size=size)
-    g = rng.standard_normal((size, k, k))
-    q, r = np.linalg.qr(g)
-    # fix the sign convention so Q is Haar distributed
-    q = q * np.sign(np.einsum("...ii->...i", r))[:, None, :]
-    return np.einsum("sij,sj,skj->sik", q, eigs, q)
+    n, k = eigs.shape
+    q, _ = np.linalg.qr(rng.standard_normal((n, k, k)))
+    q = np.ascontiguousarray(q.transpose(1, 2, 0))
+    e = np.ascontiguousarray(eigs.T)
+    H = np.zeros((k, k, n))
+    for j in range(k):
+        H += (q[:, j] * e[j])[:, None] * q[None, :, j]
+    return H.transpose(2, 0, 1)
+
+
+def random_psi_max(rng: np.random.Generator, k: int, samples: int) -> float:
+    """Largest psi over ``samples`` random trace-one SPD k x k matrices.
+
+    Eigenvalues uniform on the simplex (a flat Dirichlet, all drawn first),
+    conjugated by random rotations `BLOCK_ROWS` matrices at a time.
+    """
+    eigs = rng.dirichlet(np.ones(k), size=samples)
+    maxima = [psi(random_trace_one_spd(rng, eigs[start:start + BLOCK_ROWS])).max()
+              for start in range(0, samples, BLOCK_ROWS)]
+    return float(np.max(maxima))
 
 
 # ---------------------------------------------------------------------------
@@ -280,17 +314,24 @@ def quantitative_converse(k: int, eps: float, trials: int,
 
 
 def _grid_levelset_radius(level: float, step: float) -> float:
-    """Exhaustive eigenvalue-grid bound on {psi >= level} for k = 3."""
+    """Exhaustive eigenvalue-grid bound on {psi >= level} for k = 3.
+
+    The grid is built and rated a block of about `BLOCK_ROWS` points, whole
+    rows of equal a, at a time.
+    """
     n = int(round(1.0 / step))
     i = np.arange(1, n)
-    a, b = np.meshgrid(i, i, indexing="ij")
-    keep = (a + b) < n
-    a = a[keep] * step
-    b = b[keep] * step
-    c = 1.0 - a - b
-    vals = (a * b * c) / ((1.0 - a) * (1.0 - b) * (1.0 - c)) ** 2
-    ok = vals >= level
-    if not np.any(ok):
-        return 0.0
-    pts = np.column_stack([a[ok], b[ok], c[ok]])
-    return float(np.linalg.norm(pts - 1.0 / 3.0, axis=1).max())
+    per_block = max(1, BLOCK_ROWS // i.size)
+    delta = 0.0
+    for start in range(0, i.size, per_block):
+        a, b = np.meshgrid(i[start:start + per_block], i, indexing="ij")
+        keep = (a + b) < n
+        a = a[keep] * step
+        b = b[keep] * step
+        c = 1.0 - a - b
+        vals = (a * b * c) / ((1.0 - a) * (1.0 - b) * (1.0 - c)) ** 2
+        ok = vals >= level
+        if np.any(ok):
+            pts = np.column_stack([a[ok], b[ok], c[ok]])
+            delta = max(delta, float(np.linalg.norm(pts - 1.0 / 3.0, axis=1).max()))
+    return delta

@@ -171,3 +171,57 @@ def weighted_outer(w: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     einsum("i,ij,il->jl"), the form the barycenter's Hessian and the
     natural map's operators were first built with."""
     return np.einsum("i,ij,il->jl", w, b, c)
+
+
+def psl2_to_lorentz_traces(A: np.ndarray) -> np.ndarray:
+    """Lorentz matrix of the 2x2 complex matrix A (normalized to unit
+    determinant) as 16 separate traces Re tr(s_mu A s_nu A*) / 2 over the
+    Pauli matrices s_0 = I, s_1, s_2, s_3."""
+    pauli = [np.eye(2, dtype=complex),
+             np.array([[0, 1], [1, 0]], dtype=complex),
+             np.array([[0, -1j], [1j, 0]], dtype=complex),
+             np.array([[1, 0], [0, -1]], dtype=complex)]
+    A = np.asarray(A, dtype=complex)
+    A = A / cmath.sqrt(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
+    L = np.empty((4, 4))
+    for mu in range(4):
+        for nu in range(4):
+            L[mu, nu] = 0.5 * np.real(np.trace(pauli[mu] @ A @ pauli[nu] @ A.conj().T))
+    return L
+
+
+def haar_conjugates_reference(rng, eigs: np.ndarray) -> np.ndarray:
+    """(n, k, k) matrices Q diag(e) Q^T for the rows e of ``eigs``, all at
+    once: Q Haar distributed, from the QR of a Gaussian matrix with R's
+    diagonal made positive, and H summed by the three-operand einsum."""
+    n, k = eigs.shape
+    q, r = np.linalg.qr(rng.standard_normal((n, k, k)))
+    q = q * np.sign(np.einsum("...ii->...i", r))[:, None, :]
+    return np.einsum("sij,sj,skj->sik", q, eigs, q)
+
+
+def random_psi_max_reference(rng, k: int, size: int) -> float:
+    """Largest psi = det H / det(I - H)^2 over ``size`` random trace-one SPD
+    matrices, all held at once: flat Dirichlet eigenvalues conjugated by
+    ``haar_conjugates_reference``."""
+    H = haar_conjugates_reference(rng, rng.dirichlet(np.ones(k), size=size))
+    return float((np.linalg.det(H) / np.linalg.det(np.eye(k) - H) ** 2).max())
+
+
+def grid_levelset_radius_reference(level: float, step: float) -> float:
+    """Largest distance to I/3 of the k = 3 eigenvalue-grid points (a, b,
+    1 - a - b), a and b positive multiples of ``step``, at which
+    abc / ((1-a)(1-b)(1-c))^2 >= level; 0.0 if none.  The whole grid at once."""
+    n = int(round(1.0 / step))
+    i = np.arange(1, n)
+    a, b = np.meshgrid(i, i, indexing="ij")
+    keep = (a + b) < n
+    a = a[keep] * step
+    b = b[keep] * step
+    c = 1.0 - a - b
+    vals = (a * b * c) / ((1.0 - a) * (1.0 - b) * (1.0 - c)) ** 2
+    ok = vals >= level
+    if not np.any(ok):
+        return 0.0
+    pts = np.column_stack([a[ok], b[ok], c[ok]])
+    return float(np.linalg.norm(pts - 1.0 / 3.0, axis=1).max())

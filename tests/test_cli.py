@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -263,6 +264,20 @@ class TestDeterminism:
                         "--out", str(out)]) == 0
         for name in ("rigidity-report.json", "rigidity-report.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+# The psi checks hold their drawn points plus one block of BLOCK_ROWS rows:
+# 8.6 MiB (psi-scan) and 9.3 MiB (psi-converse) traced at default flags.
+# Holding every matrix and grid point at once takes over 30 MiB.
+@pytest.mark.parametrize("command", ["psi-scan", "psi-converse"])
+def test_psi_commands_traced_peak(tmp_path, command):
+    tracemalloc.start()
+    try:
+        assert run([command, "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
 
 
 # Every natmap module, and the psi and volume subcommands, run without

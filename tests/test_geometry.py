@@ -254,6 +254,19 @@ class TestSpinModel:
         assert geo.distance(O3, geo.psl2_to_lorentz(A).apply(O3)) == \
             pytest.approx(2 * np.log(2), abs=1e-9)
 
+    # the 16 products are formed in one stacked chain with the association
+    # of the separate traces, so each entry keeps its bits
+    def test_stacked_lorentz_equals_trace_formula(self, rng):
+        from natmap import triangulation as tr
+        mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                for _ in range(200)]
+        for step in tr.deformation_path(tr.figure_eight(), 50):
+            rho = step.representation
+            mats += list(rho.generators) + [rho.evaluate(r) for r in rho.relators]
+        for A in mats:
+            assert np.array_equal(geo.psl2_to_lorentz(A).lorentz,
+                                  oracles.psl2_to_lorentz_traces(A))
+
 
 class TestNonFinitePoints:
     @settings(max_examples=40, deadline=None)

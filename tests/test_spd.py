@@ -25,19 +25,19 @@ class TestPsi:
     @given(st.integers(0, 10**9))
     def test_conjugation_invariance(self, seed):
         rng = np.random.default_rng(seed)
-        H = spd.random_trace_one_spd(rng, 3, 1)[0]
+        H = spd.random_trace_one_spd(rng, rng.dirichlet(np.ones(3), size=1))[0]
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         assert spd.psi(Q @ H @ Q.T) == pytest.approx(spd.psi(H), abs=1e-12)
 
     def test_eigenvalue_reduction(self, rng):
-        H = spd.random_trace_one_spd(rng, 3, 20)
+        H = spd.random_trace_one_spd(rng, rng.dirichlet(np.ones(3), size=20))
         for h in H:
             eigs = np.sort(np.linalg.eigvalsh(h))
             assert spd.psi(h) == pytest.approx(spd.psi_simplex(eigs), abs=1e-12)
 
     def test_characteristic_polynomial_identity(self, rng):
         # |p_H(0)| / p_H(1)^2 with p from the characteristic polynomial
-        for h in spd.random_trace_one_spd(rng, 3, 10):
+        for h in spd.random_trace_one_spd(rng, rng.dirichlet(np.ones(3), size=10)):
             p = np.poly(h)
             val = abs(np.polyval(p, 0.0)) / np.polyval(p, 1.0) ** 2
             assert val == pytest.approx(spd.psi(h), abs=1e-12)
@@ -60,14 +60,15 @@ class TestPsiSimplex:
 
 class TestRandomSampler:
     def test_samples_are_trace_one_spd(self, rng):
-        H = spd.random_trace_one_spd(rng, 4, 200)
+        H = spd.random_trace_one_spd(rng, rng.dirichlet(np.ones(4), size=200))
         assert np.max(np.abs(np.einsum("sii->s", H) - 1.0)) < 1e-12
         assert np.max(np.abs(H - H.transpose(0, 2, 1))) < 1e-12
         assert min(np.linalg.eigvalsh(h).min() for h in H) > 0
 
     def test_bound_holds_on_samples(self, rng):
         for k in (3, 4, 5):
-            vals = spd.psi(spd.random_trace_one_spd(rng, k, 50_000))
+            vals = spd.psi(spd.random_trace_one_spd(
+                rng, rng.dirichlet(np.ones(k), size=50_000)))
             assert vals.max() <= spd.psi_max(k) + 1e-12
 
     def test_k2_unbounded_witness(self):
@@ -205,3 +206,49 @@ class TestQuantitativeConverse:
                   for e in (1e-4, 1e-3, 1e-2)]
         assert deltas[0] < deltas[1] < deltas[2]
         assert deltas[2] <= 0.2
+
+
+class TestBlocks:
+    """The psi checks run BLOCK_ROWS rows at a time; the blocks change no bit."""
+
+    # the Dirichlet rows are drawn first and the Gaussian matrices block by
+    # block: the same draws in the same order, and dropping the Haar sign fix
+    # leaves H unchanged, since it only multiplies by -1 twice
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_random_psi_max_equals_whole_batch(self, k, seed):
+        B = spd.BLOCK_ROWS
+        for size in (1, B - 1, B, B + 1, 3 * B + 17):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = spd.random_psi_max(rng, k, size)
+            assert got == oracles.random_psi_max_reference(ref_rng, k, size)
+            assert rng.random() == ref_rng.random()
+
+    # one max can hide a changed H: psi keeps its bits on most rows whose
+    # H moved by an ulp, so the matrices themselves are compared too
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_conjugates_equal_sign_fixed_einsum(self, k):
+        eigs = np.random.default_rng(k).dirichlet(np.ones(k), size=spd.BLOCK_ROWS + 1)
+        H = spd.random_trace_one_spd(np.random.default_rng(7), eigs)
+        ref = oracles.haar_conjugates_reference(np.random.default_rng(7), eigs)
+        assert np.array_equal(H, ref)
+
+    def test_psi_simplex_blocks_change_no_bit(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        n = 3 * spd.BLOCK_ROWS + 17
+        inputs = [rng.dirichlet(np.ones(3), size=n), rng.dirichlet(np.ones(4), size=n),
+                  spd._collar_samples_k3(rng, 1e-3, n),
+                  spd._collar_samples_k3(rng, 1e-200, n)]
+        blocked = [spd.psi_simplex(rows) for rows in inputs]
+        monkeypatch.setattr(spd, "BLOCK_ROWS", n + 1)
+        for rows, vals in zip(inputs, blocked):
+            assert np.array_equal(vals, spd.psi_simplex(rows))
+
+    def test_grid_radius_equals_whole_grid(self):
+        levels = [0.0, 0.2, 0.4, spd.psi_max(3) * (1.0 - 1e-2), spd.psi_max(3) * (1.0 - 1e-4),
+                  spd.psi_max(3)]
+        refs = [oracles.grid_levelset_radius_reference(level, spd.CONVERSE_GRID_STEP)
+                for level in levels]
+        assert refs[-1] == 0.0 and min(refs[:-1]) > 0.0
+        for level, ref in zip(levels, refs):
+            assert spd._grid_levelset_radius(level, spd.CONVERSE_GRID_STEP) == ref
