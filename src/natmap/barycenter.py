@@ -165,12 +165,9 @@ def barycenter(beta: BoundaryMeasure, cfg: SolverConfig | None = None,
             continue
         if val is None:
             val = _phi_chart(beta, y, chords)
-        # Armijo backtracking along the geodesic through the step
+        # Armijo backtracking along the geodesic through the step, a descent
+        # direction: -g, or the Newton step where I - H is positive definite
         slope = float(np.dot(g, step_frame))
-        if slope >= 0.0:              # numerical safeguard
-            step_frame = -g
-            slope = -float(np.dot(g, g))
-            chart_step = (1.0 - s) / 2.0 * step_frame
         t = 1.0
         while t > 1e-16:
             cand = _exp_chart(y, t * chart_step)

@@ -37,7 +37,7 @@ class BarycenterChecks:
 
 
 def barycenter_checks(stationarity, equivariance, oracle,
-                      cfg: SolverConfig | None = None) -> BarycenterChecks:
+                      cfg: SolverConfig) -> BarycenterChecks:
     """Stationarity, equivariance, grid-oracle agreement, two equal atoms.
 
     ``stationarity`` holds (label, measure) pairs, ``equivariance``

@@ -145,16 +145,16 @@ def busemann_chords(x: np.ndarray, directions: np.ndarray) -> tuple[np.ndarray, 
 
 
 def busemann_many(x: np.ndarray, directions: np.ndarray,
-                  chords: tuple | None = None) -> np.ndarray:
+                  chords: tuple | None) -> np.ndarray:
     """B(x, theta_i) for an (N, k) array of unit directions, normalized so
     that B(O, theta) = 0.  ``chords`` is ``busemann_chords(x, directions)``
-    when the caller already holds it."""
+    when the caller already holds it, else None."""
     _, r2 = chords or busemann_chords(x, directions)
     return np.log(r2 / (1.0 - np.dot(x, x)))
 
 
 def busemann_gradients_frame(x: np.ndarray, directions: np.ndarray,
-                             chords: tuple | None = None) -> np.ndarray:
+                             chords: tuple | None) -> np.ndarray:
     """Frame components of grad_x B(x, theta_i), one unit row per direction;
     ``chords`` as for `busemann_many`.
 
@@ -236,8 +236,7 @@ class Isometry:
 
 
 def random_isometry(rng: np.random.Generator, k: int,
-                    translation_scale: float = 1.0,
-                    rotation_scale: float = 1.0) -> Isometry:
+                    translation_scale: float, rotation_scale: float) -> Isometry:
     """Random element of Isom+(H^k) via the exponential of a so(k,1) element."""
     from scipy.linalg import expm
 

@@ -120,7 +120,7 @@ class VisualFamily:
     """
 
     dimension: int
-    nodes: int = 2000
+    nodes: int
 
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         return _cached_quadrature(self.dimension, self.nodes)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barycenter import BarycenterResult, barycenter, busemann_moments
+from .barycenter import BarycenterResult, barycenter
 from .geometry import (
     HPoint,
     Isometry,
@@ -35,7 +35,6 @@ from .measures import BoundaryMeasure, VisualFamily, atom_labels
 
 RELATOR_TOL = 1e-8
 FD_STEP = 1e-4
-K_CONDITION_FLOOR = 1e-6
 # translation length above which a word enters the orbit table
 ORBIT_LENGTH_TOL = 1e-6
 # slack of the Jacobian determinant bound check
@@ -261,7 +260,7 @@ class OrbitBoundaryMap:
 
     @classmethod
     def build(cls, source: Representation, target: Representation,
-              max_word_length: int = 8, min_table: int = 5000) -> "OrbitBoundaryMap":
+              max_word_length: int, min_table: int) -> "OrbitBoundaryMap":
         """Table over the reduced words up to ``max_word_length`` that are
         loxodromic (translation length above ``ORBIT_LENGTH_TOL``) on both
         sides.
@@ -413,37 +412,27 @@ class OperatorPair:
 
 def operators_at(rho: Representation | None, pushed: PushedFamily, family: VisualFamily,
                  x: HPoint, image: HPoint | None = None) -> OperatorPair:
-    """The operators at x and its image, F(x) when ``image`` is None.
+    """The operators at x and its image F(x), read from the last Newton
+    step of the family's latest record at x, solved here if there is none.
 
-    At the image of the family's latest record at x, solved here if there
-    is none, the weighted gradients and H are that solve's last step; at
-    any other image they are built there, without a solve."""
-    xc = x.coords
-    record = pushed.latest(xc)
-    if image is None:
-        if record is None:
-            record = pushed.evaluate(xc)
-        image = record.image
-    if record is None:
-        w, a = pushed.source_side(xc)
-    else:
-        w, a = record.weights, record.a
-    if record is not None and np.array_equal(image.coords, record.image.coords):
-        wb, H = record.result.wb, record.result.H
-    else:
-        _, wb, H = busemann_moments(w, pushed.images, image.coords)
+    They exist at F(x) only: an ``image`` that is not bitwise F(x) raises
+    ValueError."""
+    record = pushed.latest(x.coords) or pushed.evaluate(x.coords)
+    if image is not None and not np.array_equal(image.coords, record.image.coords):
+        raise ValueError("the operators are read at F(x) only, and the image given "
+                         "is another point")
+    H = record.result.H
     # bitwise the three-operand einsum("i,ij,il->jl", w, b, a)
-    L = np.einsum("ij,il->jl", wb, a)
-    return OperatorPair(H.copy(), np.eye(H.shape[0]) - H, L, image)
+    L = np.einsum("ij,il->jl", record.result.wb, record.a)
+    return OperatorPair(H.copy(), np.eye(H.shape[0]) - H, L, record.image)
 
 
 @dataclass(frozen=True)
 class JacobianResult:
+    """The differential of the natural map at one basepoint and Jac_k."""
+
     DF: np.ndarray            # (m, k) in orthonormal frames at x and F(x)
     jac_k: float              # product of singular values
-    method: str
-    k_min_eigenvalue: float
-    fell_back: bool = False
 
     @property
     def operator_norm(self) -> float:
@@ -467,29 +456,25 @@ def _finite_difference_DF(pushed: PushedFamily, x: np.ndarray,
 
 
 def jacobian(rho: Representation | None, pushed: PushedFamily, family: VisualFamily,
-             x: HPoint, method: str = "implicit",
-             pair: OperatorPair | None = None) -> JacobianResult:
-    """Differential of the natural map in orthonormal frames, plus Jac_k.
+             x: HPoint, method: str, pair: OperatorPair) -> JacobianResult:
+    """Differential of the natural map in orthonormal frames, plus Jac_k,
+    at x and the image of ``pair``, the operators at x.
 
-    'implicit' solves K DF = (k-1) L from the differentiated stationarity
-    identity; 'finite-difference' takes symmetric differences of the map in
-    normal coordinates.  An ill-conditioned K (smallest eigenvalue below
-    1e-6) triggers the finite-difference fallback, flagged on the result.
+    'implicit' solves K DF = (k-1) L, the differentiated stationarity
+    identity.  K = I - H is positive definite at every interior barycenter,
+    and this DF is the exact derivative of the discrete family, so there is
+    no fallback.  'finite-difference' takes symmetric differences of the map
+    in normal coordinates, with 2k solves.
     """
-    if method not in ("implicit", "finite-difference"):
-        raise ValueError(f"unknown method '{method}'")
-    if pair is None:
-        pair = operators_at(rho, pushed, family, x)
-    kmin = float(np.linalg.eigvalsh(pair.K)[0])
     k = family.dimension
-    fell_back = method == "implicit" and kmin < K_CONDITION_FLOOR
-    if method == "implicit" and not fell_back:
+    if method == "implicit":
         DF = (k - 1) * np.linalg.solve(pair.K, pair.L)
-    else:
+    elif method == "finite-difference":
         DF = _finite_difference_DF(pushed, x.coords, pair.image)
-        method = "finite-difference"
+    else:
+        raise ValueError(f"unknown method '{method}'")
     sv = np.linalg.svd(DF, compute_uv=False)
-    return JacobianResult(DF, float(np.prod(sv[:k])), method, kmin, fell_back=fell_back)
+    return JacobianResult(DF, float(np.prod(sv[:k])))
 
 
 @dataclass(frozen=True)

@@ -195,7 +195,7 @@ def _collar_samples_k3(rng: np.random.Generator, margin: float, n: int) -> np.nd
 
 
 def boundary_bound_scan(k: int, margin: float, samples: int,
-                        seed: int = 0) -> ScanReport:
+                        seed: int) -> ScanReport:
     """Scan psi on the collar of the simplex boundary.
 
     k = 3: asserts the max against the exact collar supremum
@@ -273,7 +273,7 @@ CONVERSE_GRID_STEP = 1e-3
 
 
 def quantitative_converse(k: int, eps: float, trials: int,
-                          seed: int = 0) -> ConverseReport:
+                          seed: int) -> ConverseReport:
     """Largest distance from I/k on the level set psi >= max (1 - eps), k >= 3.
 
     Rejection-samples near I/k (heavy-tailed local perturbations) plus a

@@ -137,8 +137,8 @@ class IdealTriangulation:
 
     num_tetrahedra: int
     gluings: dict
-    cusp_rows: tuple = ()
-    name: str = ""
+    cusp_rows: tuple
+    name: str
 
     def __post_init__(self):
         for (t, f), (t2, f2, perm) in self.gluings.items():
@@ -243,14 +243,19 @@ class ResidualReport:
         return float(np.max(np.abs(self.cusp))) if self.cusp.size else 0.0
 
 
+def _edge_residual(tri: IdealTriangulation, z: np.ndarray):
+    """The (T, 3) slot logs of the shapes z and the log edge equations'
+    residuals, log-sum minus 2 pi i per edge class."""
+    logs = np.array([slot_logs(zi) for zi in z])
+    return logs, np.einsum("etc,tc->e", tri.edge_exponents, logs) - TWO_PI_I
+
+
 def gluing_residual(tri: IdealTriangulation, shapes) -> ResidualReport:
     """Edge equation residuals (and cusp residuals) at the given shapes."""
     z = np.asarray(shapes, dtype=complex)
     if np.any((z == 0) | (z == 1)):
         raise ValueError("shape parameter at a pole")
-    logs = np.array([slot_logs(zi) for zi in z])          # (T, 3)
-    expo = tri.edge_exponents                             # (E, T, 3)
-    edge = np.einsum("etc,tc->e", expo, logs) - TWO_PI_I
+    logs, edge = _edge_residual(tri, z)
     cusp = np.array([np.sum(np.asarray(row) * logs) for row in tri.cusp_rows])
     return ResidualReport(edge, cusp)
 
@@ -488,7 +493,7 @@ def holonomy_from_shapes(tri: IdealTriangulation, shapes,
 # the gluing variety of the figure-eight: sampling and paths
 # ---------------------------------------------------------------------------
 
-def _fig8_partner(z: complex, branch: int = 0) -> complex:
+def _fig8_partner(z: complex, branch: int) -> complex:
     """w with z^2 w^2 = (1-z)(1-w): the rectangular edge equation."""
     # z^2 w^2 + (1-z) w - (1-z) = 0
     a, b, c = z * z, (1.0 - z), -(1.0 - z)
@@ -509,8 +514,7 @@ def solve_edge_equations(tri: IdealTriangulation, start):
     free = list(range(1, z.size))
     expo = tri.edge_exponents
     for _ in range(80):
-        logs = np.array([slot_logs(zi) for zi in z])
-        F = np.einsum("etc,tc->e", expo, logs) - TWO_PI_I
+        _, F = _edge_residual(tri, z)
         if np.max(np.abs(F)) < 1e-12:
             return z
         # d slot_logs / dz = (1/z, 1/(1-z), 1/(z(z-1)))
@@ -538,7 +542,7 @@ class PathStep:
     min_pole_distance: float
 
 
-def deformation_path(tri: IdealTriangulation, steps: int = 50,
+def deformation_path(tri: IdealTriangulation, steps: int,
                      t_end: float = 0.9905) -> list[PathStep]:
     """Continuation along the gluing variety toward a shape degeneration.
 

@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from natmap import barycenter as bary
 from natmap import criteria
 from natmap import geometry as geo
 from natmap import measures as ms
@@ -126,7 +127,8 @@ def test_criterion_04_barycenter():
     equivariance = [(spread_measure(), geo.random_isometry(rng, 3, 0.7, 0.7))
                     for _ in range(100)]
     oracle = [spread_measure(4) for _ in range(20)]
-    res = criteria.barycenter_checks(stationarity, equivariance, oracle)
+    res = criteria.barycenter_checks(stationarity, equivariance, oracle,
+                                     bary.SolverConfig())
     elapsed = time.time() - t0
     ok = (res.gradient <= 1e-10 and res.equivariance <= 1e-8 and res.oracle <= 2e-3
           and res.two_equal_atoms_raise and elapsed <= 120.0)

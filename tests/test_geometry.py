@@ -13,11 +13,11 @@ O3 = geo.HPoint(np.zeros(3))
 
 
 def busemann(x, theta):
-    return float(geo.busemann_many(x.coords, theta.direction[None, :])[0])
+    return float(geo.busemann_many(x.coords, theta.direction[None, :], None)[0])
 
 
 def busemann_frame_gradient(x, theta):
-    return geo.busemann_gradients_frame(x.coords, theta.direction[None, :])[0]
+    return geo.busemann_gradients_frame(x.coords, theta.direction[None, :], None)[0]
 
 
 def chart_step(x, frame_vector):
@@ -38,7 +38,7 @@ class TestDistance:
 
     def test_isometry_invariance(self, rng):
         for _ in range(10):
-            g = geo.random_isometry(rng, 3)
+            g = geo.random_isometry(rng, 3, 1.0, 1.0)
             x, y = random_ball_point(rng), random_ball_point(rng)
             assert geo.distance(g.apply(x), g.apply(y)) == pytest.approx(
                 geo.distance(x, y), abs=1e-10)
@@ -162,7 +162,7 @@ class TestIsometries:
     def test_boundary_action_identity_and_composition(self, rng):
         th = random_sphere_point(rng).direction[None, :]
         assert np.allclose(geo.Isometry.identity(3).apply_boundary_many(th), th)
-        g, h = geo.random_isometry(rng, 3), geo.random_isometry(rng, 3)
+        g, h = geo.random_isometry(rng, 3, 1.0, 1.0), geo.random_isometry(rng, 3, 1.0, 1.0)
         lhs = geo.Isometry(g.lorentz @ h.lorentz).apply_boundary_many(th)
         rhs = g.apply_boundary_many(h.apply_boundary_many(th))
         assert np.max(np.abs(lhs - rhs)) < 1e-10

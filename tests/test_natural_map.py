@@ -98,7 +98,7 @@ def _uncached(rep):
 
 def stationarity_residual(pushed, x, image):
     """Norm of the integrated Busemann differential at the image of x."""
-    b = geo.busemann_gradients_frame(image.coords, pushed.images)
+    b = geo.busemann_gradients_frame(image.coords, pushed.images, None)
     return float(np.linalg.norm(pushed.source_side(x.coords)[0] @ b))
 
 
@@ -273,8 +273,7 @@ class TestClusterOnce:
         pair = nm.operators_at(None, pushed, fam2000, x)
         nm.jacobian(None, pushed, fam2000, x, "implicit", pair=pair)
         # 2k more solves, none of which clusters again
-        j = nm.jacobian(None, pushed, fam2000, x, "finite-difference", pair=pair)
-        assert j.method == "finite-difference"
+        nm.jacobian(None, pushed, fam2000, x, "finite-difference", pair=pair)
         assert label_calls == [2048]
 
     # the labels of the fixed images give each solve what clustering the
@@ -291,7 +290,7 @@ class TestClusterOnce:
             D = nm.TotallyGeodesicBoundaryMap(3, 5)
         else:
             D = nm.OrbitBoundaryMap.build(holonomy, fig8_path[3].representation,
-                                          min_table=5000)
+                                          max_word_length=8, min_table=5000)
         pushed = nm.PushedFamily(D, fam2000)
         if case == "orbit":
             # nodes that share a table entry share an image: clusters of many
@@ -320,7 +319,7 @@ class TestWeightedOuterProducts:
                 pts = rng.standard_normal((n, k))
                 beta = ms.atomic_measure(rng.random(n) + 1e-3, pts)
                 y = random_ball_point(rng, k, 2.0).coords
-                b = geo.busemann_gradients_frame(y, beta.points)
+                b = geo.busemann_gradients_frame(y, beta.points, None)
                 _, hess = bary._derivatives(beta, y)
                 want = np.eye(k) - oracles.weighted_outer(beta.weights, b, b)
                 assert np.array_equal(hess, want), (n, k)
@@ -335,12 +334,19 @@ class TestWeightedOuterProducts:
              else nm.TotallyGeodesicBoundaryMap(k, m))
         pushed = nm.PushedFamily(D, family)
         for _ in range(3):
-            x = random_ball_point(rng, k, 1.0)
-            image = random_ball_point(rng, m, 1.0)
-            pair = nm.operators_at(None, pushed, family, x, image)
-            w = pushed.source_side(x.coords)[0]
-            b = geo.busemann_gradients_frame(image.coords, pushed.images)
-            a = geo.busemann_gradients_frame(x.coords, pushed.nodes)
+            x = random_ball_point(rng, k, 0.5)
+            w, a = pushed.source_side(x.coords)
+            # the moments at a random point, which one node or k = 2 also have
+            y = random_ball_point(rng, m, 1.0).coords
+            b = geo.busemann_gradients_frame(y, pushed.images, None)
+            _, wb, H = bary.busemann_moments(w, pushed.images, y)
+            assert np.array_equal(H, oracles.weighted_outer(w, b, b))
+            assert np.array_equal(np.einsum("ij,il->jl", wb, a), oracles.weighted_outer(w, b, a))
+            if nodes == 1:
+                continue                    # one atom: no interior barycenter
+            # the operators at F(x)
+            pair = nm.operators_at(None, pushed, family, x)
+            b = geo.busemann_gradients_frame(pair.image.coords, pushed.images, None)
             assert np.array_equal(pair.H, oracles.weighted_outer(w, b, b))
             assert np.array_equal(pair.L, oracles.weighted_outer(w, b, a))
 
@@ -350,7 +356,7 @@ def _operators_reference(pushed, x):
     image give them, with the three-operand contractions."""
     w, a = pushed.source_side(x.coords)
     image = bary.barycenter(ms.BoundaryMeasure(w, pushed.images), labels=pushed.labels).location
-    b = geo.busemann_gradients_frame(image.coords, pushed.images)
+    b = geo.busemann_gradients_frame(image.coords, pushed.images, None)
     return image.coords, oracles.weighted_outer(w, b, b), oracles.weighted_outer(w, b, a)
 
 
@@ -361,7 +367,8 @@ def _boundary_map(case, holonomy, fig8_path):
         return nm.MobiusBoundaryMap(geo.random_isometry(np.random.default_rng(4), 3, 0.5, 0.5))
     if case == "geodesic-m5":
         return nm.TotallyGeodesicBoundaryMap(3, 5)
-    return nm.OrbitBoundaryMap.build(holonomy, fig8_path[3].representation, min_table=5000)
+    return nm.OrbitBoundaryMap.build(holonomy, fig8_path[3].representation,
+                                     max_word_length=8, min_table=5000)
 
 
 @pytest.fixture
@@ -414,11 +421,12 @@ class TestEvaluationRecord:
         F = nm.natural_map(None, pushed, fam2000, x)
         pair = nm.operators_at(None, pushed, fam2000, x, image=F)
         nm.operators_at(None, pushed, fam2000, x)
-        nm.jacobian(None, pushed, fam2000, x, "implicit")
+        nm.jacobian(None, pushed, fam2000, x, "implicit", pair=pair)
         assert len(solves) == 1
-        # an image other than the record's is worked at, not solved for
-        other = nm.operators_at(None, pushed, fam2000, x, image=y)
-        assert len(solves) == 1 and other.image is y
+        # the operators exist at F(x) only: another image raises, unsolved
+        with pytest.raises(ValueError, match=r"F\(x\) only"):
+            nm.operators_at(None, pushed, fam2000, x, image=y)
+        assert len(solves) == 1
         nm.operators_at(None, pushed, fam2000, y)
         assert len(solves) == 2
         # the record now sits at y: x is solved again, bit for bit
@@ -462,7 +470,8 @@ class TestOperators:
 
     def test_trace_one(self, fam2000, holonomy, fig8_path):
         target = fig8_path[3].representation
-        D = nm.OrbitBoundaryMap.build(holonomy, target, min_table=5000)
+        D = nm.OrbitBoundaryMap.build(holonomy, target, max_word_length=8,
+                                      min_table=5000)
         pair = nm.operators_at(target, nm.PushedFamily(D, fam2000), fam2000,
                                geo.HPoint(np.array([0.15, 0.1, -0.2])))
         assert abs(np.trace(pair.H) - 1.0) <= 1e-6
@@ -490,22 +499,24 @@ class TestJacobian:
         worst = 0.0
         for st in fig8_path[1:5]:
             D = nm.OrbitBoundaryMap.build(holonomy, st.representation,
-                                          min_table=5000)
+                                          max_word_length=8, min_table=5000)
             pushed = nm.PushedFamily(D, fam2000)
             x = random_ball_point(rng, max_radius=0.5)
-            ji = nm.jacobian(st.representation, pushed, fam2000, x, "implicit")
+            pair = nm.operators_at(st.representation, pushed, fam2000, x)
+            ji = nm.jacobian(st.representation, pushed, fam2000, x, "implicit", pair=pair)
             jf = nm.jacobian(st.representation, pushed, fam2000, x,
-                             "finite-difference")
+                             "finite-difference", pair=pair)
             worst = max(worst, float(np.max(np.abs(ji.DF - jf.DF))))
         assert worst <= 1e-3
 
     def test_deformed_jacobian_below_one(self, fam2000, holonomy, fig8_path, rng):
         for st in fig8_path[1:6]:
             D = nm.OrbitBoundaryMap.build(holonomy, st.representation,
-                                          min_table=5000)
+                                          max_word_length=8, min_table=5000)
             pushed = nm.PushedFamily(D, fam2000)
             x = random_ball_point(rng, max_radius=0.5)
-            j = nm.jacobian(st.representation, pushed, fam2000, x, "implicit")
+            pair = nm.operators_at(st.representation, pushed, fam2000, x)
+            j = nm.jacobian(st.representation, pushed, fam2000, x, "implicit", pair=pair)
             assert j.jac_k <= 1.0 + 5e-3
 
     def test_implicit_reads_the_pair(self, fam2000, monkeypatch):
@@ -522,19 +533,17 @@ class TestJacobian:
         j = nm.jacobian(None, pushed, fam2000, x, "implicit", pair=pair)
         assert np.array_equal(j.DF, 2 * np.linalg.solve(pair.K, pair.L))
 
-    def test_ill_conditioned_fallback(self, fam2000):
-        # a synthetic operator pair with nearly singular K exercises the
-        # guard; the map itself is benign so the fallback returns ~identity
+    def test_ill_conditioned_k_solved_implicitly(self, fam2000, solves):
+        # a synthetic operator pair with nearly singular K: the implicit DF
+        # still solves K DF = (k-1) L, with no fallback to solves of the map
         pushed = nm.PushedFamily(nm.identity_boundary_map(3), fam2000)
         x = geo.HPoint(np.array([0.1, 0.0, 0.0]))
         F = nm.natural_map(None, pushed, fam2000, x)
         H = np.diag([1.0 - 2e-7, 1e-7, 1e-7])
         pair = nm.OperatorPair(H, np.eye(3) - H, 2 * np.eye(3) / 3, F)
         j = nm.jacobian(None, pushed, fam2000, x, "implicit", pair=pair)
-        assert j.fell_back
-        assert j.method == "finite-difference"
-        assert j.k_min_eigenvalue < 1e-6
-        assert j.jac_k == pytest.approx(1.0, abs=1e-3)
+        assert np.array_equal(j.DF, 2 * np.linalg.solve(pair.K, pair.L))
+        assert len(solves) == 1
 
 
 class TestBoundCheck:
@@ -551,7 +560,8 @@ class TestBoundCheck:
 
     def test_deformed_bound(self, fam2000, holonomy, fig8_path, rng):
         st = fig8_path[5]
-        D = nm.OrbitBoundaryMap.build(holonomy, st.representation, min_table=5000)
+        D = nm.OrbitBoundaryMap.build(holonomy, st.representation, max_word_length=8,
+                                      min_table=5000)
         pushed = nm.PushedFamily(D, fam2000)
         for _ in range(3):
             x = random_ball_point(rng, max_radius=0.5)

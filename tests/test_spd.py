@@ -174,7 +174,7 @@ class TestBoundaryScan:
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
-            spd.boundary_bound_scan(2, 1e-3, 10)
+            spd.boundary_bound_scan(2, 1e-3, 10, seed=0)
 
     # s = k margin U left the simplex for margin >= 1/k, and the scan
     # reported a failed envelope instead of refusing the margin
@@ -182,7 +182,7 @@ class TestBoundaryScan:
                                            (4, 0.0), (5, 0.2), (3, 0.2), (3, 0.0)])
     def test_margin_out_of_range(self, k, margin):
         with pytest.raises(ValueError):
-            spd.boundary_bound_scan(k, margin, 10)
+            spd.boundary_bound_scan(k, margin, 10, seed=0)
 
 
 class TestQuantitativeConverse:
@@ -190,7 +190,7 @@ class TestQuantitativeConverse:
     @pytest.mark.parametrize("k", [1, 2])
     def test_invalid_k(self, k):
         with pytest.raises(ValueError):
-            spd.quantitative_converse(k, 1e-4, 10)
+            spd.quantitative_converse(k, 1e-4, 10, seed=0)
 
     def test_exact_maximum_recovers_center(self):
         rep = spd.quantitative_converse(3, 0.0, 100_000, seed=2)

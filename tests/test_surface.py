@@ -17,6 +17,10 @@ call in the same code, matched by the callee's name (a class name for
 ``__init__`` and for a dataclass).  A call with ``*args`` or ``**kwargs``
 counts as passing every position or keyword.  An option only a test sets is
 a constant.
+
+Nor does it carry defaults that no caller relies on: every such parameter
+and field must also be left to its default by some call in the same code.
+A default that every call overrides is a required parameter.
 """
 
 import ast
@@ -138,7 +142,10 @@ def _functions(tree: ast.Module):
                     yield name, 0 if static else 1, sub.name, _defaulted(sub)
 
 
-def never_set_parameters() -> list[str]:
+def _defaulted_parameters():
+    """(label, whether each call to it passes it) of each defaulted
+    parameter and field of the library, over the calls in the library and
+    the benchmark."""
     trees = _user_trees()
     # callee name -> (positional argument count, keyword names) per call;
     # None stands for a ** argument
@@ -150,20 +157,32 @@ def never_set_parameters() -> list[str]:
                 calls[_called_name(node)].append(
                     (float("inf") if starred else len(node.args),
                      {k.arg for k in node.keywords}))
-    out = []
     for path, tree in trees.items():
         if path.parent != LIBRARY:
             continue
         for name, bound, where, defaulted in _functions(tree):
             for index, param in defaulted:
-                if not any(param in kws or None in kws
-                           or (index is not None and n + bound > index)
-                           for n, kws in calls[name]):
-                    out.append(f"{path.stem}.{where}({param})")
-    return out
+                yield f"{path.stem}.{where}({param})", [
+                    param in kws or None in kws
+                    or (index is not None and n + bound > index)
+                    for n, kws in calls[name]]
+
+
+def never_set_parameters() -> list[str]:
+    return [label for label, passed in _defaulted_parameters() if not any(passed)]
+
+
+def always_set_parameters() -> list[str]:
+    return [label for label, passed in _defaulted_parameters() if passed and all(passed)]
 
 
 def test_every_defaulted_parameter_is_set_by_a_caller():
     unset = never_set_parameters()
     assert not unset, (f"{len(unset)} defaulted parameters that no call in the library "
                        f"or the benchmark sets: {', '.join(unset)}")
+
+
+def test_every_default_is_left_by_a_caller():
+    overridden = always_set_parameters()
+    assert not overridden, (f"{len(overridden)} defaults that every call in the library "
+                            f"or the benchmark overrides: {', '.join(overridden)}")

@@ -109,7 +109,7 @@ class TestCombinatorics:
         g = dict(tr._FIG8_GLUINGS)
         g[(0, 2)] = (1, 2, (0, 3, 1, 2))    # not inverse-consistent
         with pytest.raises(ValueError):
-            tr.IdealTriangulation(2, g)
+            tr.IdealTriangulation(2, g, (), "")
 
 
 class TestGluingResidual:
@@ -141,7 +141,7 @@ class TestVolume:
 
     def test_conjugation_negates(self):
         z = complex(0.4, 0.9)
-        w = tr._fig8_partner(z)
+        w = tr._fig8_partner(z, 0)
         plus = tr.volume_of_shapes([z, w]).value
         minus = tr.volume_of_shapes([np.conj(z), np.conj(w)]).value
         assert minus == pytest.approx(-plus, abs=1e-12)
