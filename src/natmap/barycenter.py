@@ -7,8 +7,12 @@ is the barycenter.  A measure with a dominant atom (mass >= 1/2) instead
 has barycenter at that atom on the ideal sphere.
 
 The solver is a Riemannian Newton iteration with Armijo backtracking in the
-conformal orthonormal frame, falling back to plain gradient steps when the
-Hessian I - H(y) is nearly singular (collinear support).
+conformal orthonormal frame.  Its Hessian I - H(y) = sum w_i (I - b_i b_i^T)
+(unit Busemann gradients b_i) is singular only if every atom lies at an end
+of one geodesic through y, so that one of two clusters holds half the mass:
+the dominant-atom gate sends such a measure away before the iteration.  A
+nearly singular I - H, the iteration cap and a line search without decrease
+raise NoConvergenceError.
 """
 
 from __future__ import annotations
@@ -30,10 +34,14 @@ from .measures import BoundaryMeasure, atom_labels, max_atom_mass
 HALF_ATOM_TOL = 1e-12
 ARMIJO_CONTRACTION = 0.5
 ARMIJO_SLOPE = 1e-4
-# smallest eigenvalue of I - H below which Newton gives way to a gradient step
+# smallest eigenvalue of I - H that a Newton step is taken at: below it the
+# measure is at the dominant-atom limit, and the solve raises
 HESSIAN_FLOOR = 1e-8
 # Newton steps before NoConvergenceError
 MAX_ITERATIONS = 200
+# a point the ball chart holds has 1 - |x|^2 >= 2^-53, so it lies within
+# hyperbolic distance log(4 / 2^-53) = 55 log 2 ~ 38.1 of the origin
+CHART_DIAMETER = 110.0 * np.log(2.0)
 
 
 class TwoEqualAtomsError(ValueError):
@@ -41,7 +49,9 @@ class TwoEqualAtomsError(ValueError):
 
 
 class NoConvergenceError(RuntimeError):
-    """Solver hit the iteration cap; carries the best iterate found."""
+    """The Newton solve stopped short of the gradient tolerance: at the
+    iteration cap, at a nearly singular I - H, or in a line search without
+    decrease.  The message names the reason; ``best`` is the last iterate."""
 
     def __init__(self, message, best: HPoint, gradient_norm: float, iterations: int):
         super().__init__(message)
@@ -61,7 +71,6 @@ class BarycenterResult:
     kind: str                      # 'interior' or 'boundary-atom'
     gradient_norm: float
     iterations: int
-    degenerate_support: bool = False
     # of an interior result, the last Newton step's `busemann_moments` at
     # the location: the weighted gradients w_i b_i and H = sum w_i b_i b_i^T
     wb: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -79,7 +88,7 @@ def _phi_chart(beta: BoundaryMeasure, y: np.ndarray, chords: tuple | None = None
 
 
 def busemann_moments(weights: np.ndarray, points: np.ndarray, y: np.ndarray,
-                     chords: tuple | None = None):
+                     chords: tuple | None):
     """The frame Busemann gradients b_i at y toward ``points``, the
     weighted rows w_i b_i and H(y) = sum w_i b_i b_i^T; ``chords`` as for
     `_phi_chart`."""
@@ -88,13 +97,6 @@ def busemann_moments(weights: np.ndarray, points: np.ndarray, y: np.ndarray,
     # einsum("i,ij,il->jl", w, b, b), so H is bitwise that contraction
     wb = weights[:, None] * b
     return b, wb, np.einsum("ij,il->jl", wb, b)
-
-
-def _derivatives(beta: BoundaryMeasure, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian I - H(y) of phi at y in frame components, from
-    one array of Busemann gradients."""
-    b, _, H = busemann_moments(beta.weights, beta.points, y)
-    return beta.weights @ b, np.eye(y.size) - H
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +115,9 @@ def barycenter(beta: BoundaryMeasure, cfg: SolverConfig | None = None,
     """Barycenter of a boundary probability measure.
 
     Raises TwoEqualAtomsError for the excluded two-equal-Diracs case and
-    NoConvergenceError if the iteration cap is reached.  A dominant atom
-    (at least half the total mass after clustering) short-circuits to a
-    boundary result.  ``labels`` are the `atom_labels` of ``beta.points``,
+    NoConvergenceError when the Newton iteration cannot finish.  A dominant
+    atom (at least half the total mass after clustering) short-circuits to
+    a boundary result.  ``labels`` are the `atom_labels` of ``beta.points``,
     passed by a caller whose points stay fixed across solves; without
     them the points are clustered here.
     """
@@ -137,26 +139,24 @@ def barycenter(beta: BoundaryMeasure, cfg: SolverConfig | None = None,
     y = _initial_guess(beta)
     # one chord array per iterate: the derivatives at y and phi(y) share it
     chords = busemann_chords(y, beta.points)
-    degenerate = False
     val = None                        # phi(y), computed when a damped step reads it
-    for it in range(1, MAX_ITERATIONS + 1):
+    for it in range(MAX_ITERATIONS + 1):
         b, wb, H = busemann_moments(beta.weights, beta.points, y, chords)
         g = beta.weights @ b
         gnorm = float(np.linalg.norm(g))
         if gnorm <= cfg.gradient_tol:
-            return BarycenterResult(HPoint(y), "interior", gnorm, it - 1,
-                                    degenerate_support=degenerate, wb=wb, H=H)
+            return BarycenterResult(HPoint(y), "interior", gnorm, it, wb=wb, H=H)
+        if it == MAX_ITERATIONS:
+            reason = f"no convergence in {MAX_ITERATIONS} iterations"
+            break
         Hf = np.eye(y.size) - H
         eigmin = float(np.linalg.eigvalsh(Hf)[0])
-        newton_ok = eigmin >= HESSIAN_FLOOR
-        if newton_ok:
-            step_frame = -np.linalg.solve(Hf, g)
-        else:
-            step_frame = -g           # gradient fallback near collinear support
-            degenerate = True
-        s = float(np.dot(y, y))
-        chart_step = (1.0 - s) / 2.0 * step_frame
-        if newton_ok and gnorm < 1e-6:
+        if eigmin < HESSIAN_FLOOR:
+            reason = f"I - H has smallest eigenvalue {eigmin:.3g} < {HESSIAN_FLOOR:g}"
+            break
+        step_frame = -np.linalg.solve(Hf, g)
+        chart_step = (1.0 - float(np.dot(y, y))) / 2.0 * step_frame
+        if gnorm < 1e-6:
             # quadratic-convergence regime: phi decreases by less than float
             # resolution, so backtracking is blind; take the full step
             y = _exp_chart(y, chart_step)
@@ -165,31 +165,29 @@ def barycenter(beta: BoundaryMeasure, cfg: SolverConfig | None = None,
             continue
         if val is None:
             val = _phi_chart(beta, y, chords)
-        # Armijo backtracking along the geodesic through the step, a descent
-        # direction: -g, or the Newton step where I - H is positive definite
+        # Armijo backtracking along the geodesic through the Newton step, a
+        # descent direction since I - H is positive definite
         slope = float(np.dot(g, step_frame))
+        length = float(np.linalg.norm(step_frame))    # hyperbolic, at t = 1
         t = 1.0
         while t > 1e-16:
-            cand = _exp_chart(y, t * chart_step)
-            # a trial point that rounding puts outside the ball chart is a
-            # failed step: phi is not defined there
-            if np.dot(cand, cand) < 1.0:
-                cand_chords = busemann_chords(cand, beta.points)
-                trial = _phi_chart(beta, cand, cand_chords)
-                if trial <= val + ARMIJO_SLOPE * t * slope:
-                    y, val, chords = cand, trial, cand_chords
-                    break
+            # a trial longer than the chart's diameter, or one that rounding
+            # puts outside the ball chart, is a failed step: phi is not
+            # defined there, and the long one is skipped before cosh overflows
+            if t * length <= CHART_DIAMETER:
+                cand = _exp_chart(y, t * chart_step)
+                if np.dot(cand, cand) < 1.0:
+                    cand_chords = busemann_chords(cand, beta.points)
+                    trial = _phi_chart(beta, cand, cand_chords)
+                    if trial <= val + ARMIJO_SLOPE * t * slope:
+                        break
             t *= ARMIJO_CONTRACTION
-        else:                         # no trial point passed: step by the final t
-            y = _exp_chart(y, t * chart_step)
-            chords = busemann_chords(y, beta.points)
-            val = _phi_chart(beta, y, chords)
+        else:
+            reason = "the Armijo line search found no decrease along the Newton step"
+            break
+        y, val, chords = cand, trial, cand_chords
 
-    gnorm = float(np.linalg.norm(_derivatives(beta, y)[0]))
-    raise NoConvergenceError(
-        f"no convergence in {MAX_ITERATIONS} iterations "
-        f"(gradient norm {gnorm:.3e})",
-        HPoint(y), gnorm, MAX_ITERATIONS)
+    raise NoConvergenceError(f"{reason} (gradient norm {gnorm:.3e})", HPoint(y), gnorm, it)
 
 
 # ---------------------------------------------------------------------------

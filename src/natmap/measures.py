@@ -161,13 +161,13 @@ class AtomClusters:
 
     @property
     def location(self) -> BoundaryPoint:
-        """Weighted direction of the heaviest cluster, computed when read:
-        only a measure with a dominant atom needs it."""
+        """Weighted direction of the heaviest cluster, of norm about 1 before
+        scaling since its points chain within ATOM_CLUSTER_TOL; computed when
+        read: only a measure with a dominant atom needs it."""
         w, p = self.measure.weights, self.measure.points
         members = self.labels == self.top
         loc = np.average(p[members], axis=0, weights=w[members])
-        norm = np.linalg.norm(loc)
-        return BoundaryPoint(p[members][0] if norm < 1e-12 else loc / norm)
+        return BoundaryPoint(loc / np.linalg.norm(loc))
 
 
 def atom_labels(points: np.ndarray) -> np.ndarray:

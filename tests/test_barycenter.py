@@ -43,6 +43,33 @@ OUT_OF_BALL_TRIALS = [
       [-0.14716357441498232, 0.035337859136391113, 0.98848071204098997]]),
 ]
 
+# the generic measure of unit 25659 and the pushed one of unit 9417 of the
+# atomic-barycenter benchmark at seed 102, with their gradient tolerances:
+# their first Newton steps are 791 and 722 long (lambda_min(I - H) = 1.7e-4
+# and 3.3e-4 at the initial guess), and _exp_chart overflows cosh at the
+# first trial lengths
+LONG_FIRST_STEPS = [
+    (1e-10, [0.12744784113607205, 0.43367278672292703, 0.438879372141001],
+     [[-0.9760510079081253, -0.13822446787674345, -0.1679834112099289],
+      [0.736754170087372, 0.6506459753426925, 0.18399214012893086],
+      [-0.9770811100328438, -0.11348903514470082, -0.18009093069588755]]),
+    (1e-12, [0.13671153971169056, 0.38253099928501894, 0.4807574610032905],
+     [[-0.13550410112974656, 0.37110980599029597, 0.9186490899548446],
+      [0.2918903586178194, 0.03409550973510296, -0.9558438757254577],
+      [-0.14726609766297635, 0.4056831677019808, 0.9020719837808984]]),
+]
+
+
+def dominant_limit_measure(rng, eps):
+    """3-6 atoms, the heaviest of mass 1/2 - eps."""
+    while True:
+        n = int(rng.integers(3, 7))
+        pts = rng.standard_normal((n, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        rest = (0.5 + eps) * rng.dirichlet(np.ones(n - 1))
+        if rest.max() < 0.5 - eps:
+            return ms.atomic_measure(np.concatenate([[0.5 - eps], rest]), pts)
+
 
 class TestPhi:
     def test_antipodal_pair_at_origin(self):
@@ -83,7 +110,8 @@ class TestDerivatives:
             # chart components of h times the unit frame vector u
             step = h * (1.0 - np.dot(y, y)) / 2.0 * u
             fd = (bc._phi_chart(m, y + step) - bc._phi_chart(m, y - step)) / (2 * h)
-            assert fd == pytest.approx(np.dot(bc._derivatives(m, y)[0], u), abs=1e-6)
+            g = m.weights @ bc.busemann_moments(m.weights, m.points, y, None)[0]
+            assert fd == pytest.approx(np.dot(g, u), abs=1e-6)
 
     def test_one_gradient_array_per_step(self, rng, monkeypatch):
         # gradient and Hessian share one array of Busemann gradients, so a
@@ -130,7 +158,7 @@ class TestDerivatives:
     def test_hessian_trace_is_k_minus_one(self, rng):
         for k in (2, 3, 5):
             m = random_spread_measure(rng, k=k)
-            H = bc._derivatives(m, np.zeros(k))[1]
+            H = np.eye(k) - bc.busemann_moments(m.weights, m.points, np.zeros(k), None)[2]
             assert np.trace(H) == pytest.approx(k - 1, abs=1e-13)
 
 
@@ -253,6 +281,40 @@ class TestBarycenter:
         assert isinstance(err.value.best, geo.HPoint)
         assert err.value.gradient_norm > 0
 
+    def test_cap_equal_to_the_steps_needed(self, monkeypatch):
+        # a solve whose last allowed step lands within tolerance returns:
+        # the cap is checked after the gradient at the iterate
+        m = ms.atomic_measure([0.3, 0.3, 0.4], np.eye(3))
+        free = bc.barycenter(m)
+        monkeypatch.setattr(bc, "MAX_ITERATIONS", free.iterations)
+        capped = bc.barycenter(m)
+        assert capped.iterations == free.iterations
+        assert np.array_equal(capped.location.coords, free.location.coords)
+        monkeypatch.setattr(bc, "MAX_ITERATIONS", free.iterations - 1)
+        with pytest.raises(bc.NoConvergenceError, match="iterations") as err:
+            bc.barycenter(m)
+        assert err.value.iterations == free.iterations - 1
+
+    def test_line_search_without_decrease_raises(self, rng, monkeypatch):
+        # an Armijo slope no trial point can meet: the first damped step
+        # raises, naming the line search
+        monkeypatch.setattr(bc, "ARMIJO_SLOPE", 1e30)
+        with pytest.raises(bc.NoConvergenceError, match="line search") as err:
+            bc.barycenter(random_spread_measure(rng))
+        assert err.value.iterations == 0
+        assert isinstance(err.value.best, geo.HPoint)
+
+    def test_long_newton_steps_do_not_overflow(self):
+        # a trial step longer than the ball chart's diameter is skipped
+        # before _exp_chart forms it
+        for tol, w, p in LONG_FIRST_STEPS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = bc.barycenter(ms.BoundaryMeasure(np.array(w), np.array(p)),
+                                    bc.SolverConfig(gradient_tol=tol))
+            assert res.kind == "interior"
+            assert res.gradient_norm <= tol
+
     def test_grid_oracle_agreement_h2_h3(self, rng):
         for k in (2, 3):
             for _ in range(4):
@@ -268,6 +330,30 @@ class TestBarycenter:
             d = rng.standard_normal(3)
             d /= np.linalg.norm(d)
             assert phi(m, geo.HPoint(np.tanh(2.5) * d)) > v0
+
+
+class TestDominantLimit:
+    """Weights 1/2 - eps on the heaviest atom, 100 draws of default_rng(0):
+    Newton converges until I - H falls below HESSIAN_FLOOR, and past that
+    the solve raises at once, naming the eigenvalue."""
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8])
+    def test_converges(self, eps):
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            res = bc.barycenter(dominant_limit_measure(rng, eps))
+            assert res.kind == "interior"
+            assert res.gradient_norm <= 1e-10
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-10])
+    def test_singular_hessian_raises(self, eps):
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            with pytest.raises(bc.NoConvergenceError,
+                               match="I - H has smallest eigenvalue") as err:
+                bc.barycenter(dominant_limit_measure(rng, eps))
+            assert err.value.iterations <= 25
+            assert isinstance(err.value.best, geo.HPoint)
 
 
 class TestWeakStarContinuity:
