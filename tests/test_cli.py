@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import _golden
 from natmap import cli
 
 
@@ -219,51 +220,40 @@ class TestSubcommands:
 
 
 class TestDeterminism:
-    def test_psi_scan_byte_identical(self, tmp_path):
+    """Each command runs twice with equal bytes, and its first run also
+    matches the golden files of ``_golden.CASES``."""
+
+    @staticmethod
+    def check(tmp_path, case):
+        argv, names = _golden.CASES[case]
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            assert run(["psi-scan", "--samples", "3000", "--seed", "7",
-                        "--out", str(out)]) == 0
-        assert (a / "psi-scan.json").read_bytes() == (b / "psi-scan.json").read_bytes()
+            assert run(argv + ["--out", str(out)]) == 0
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        report = _golden.compare(case, a)
+        if report:
+            pytest.fail("\n".join(report), pytrace=False)
+
+    def test_psi_scan_byte_identical(self, tmp_path):
+        self.check(tmp_path, "psi-scan")
 
     # at margin 1e-4 the collar's corner probes crowd within 1e-10 of the
     # margin, on the symmetric family and on the ridge
     def test_psi_scan_small_margin_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        for out in (a, b):
-            assert run(["psi-scan", "--margin", "1e-4", "--samples", "2000",
-                        "--seed", "7", "--out", str(out)]) == 0
-        assert (a / "psi-scan.json").read_bytes() == (b / "psi-scan.json").read_bytes()
+        self.check(tmp_path, "psi-scan-small-margin")
 
     def test_psi_converse_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        for out in (a, b):
-            assert run(["psi-converse", "--trials", "20000", "--seed", "7",
-                        "--out", str(out)]) == 0
-        assert (a / "psi-converse.json").read_bytes() == (b / "psi-converse.json").read_bytes()
+        self.check(tmp_path, "psi-converse")
 
     def test_volume_path_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        for out in (a, b):
-            assert run(["volume-path", "--steps", "12", "--out", str(out)]) == 0
-        for name in ("volume-path.json", "volume-path.csv"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+        self.check(tmp_path, "volume-path")
 
     def test_barycenter_suite_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        for out in (a, b):
-            assert run(["barycenter-suite", "--seed", "7",
-                        "--out", str(out)]) == 0
-        for name in ("barycenter-suite.json", "barycenter-stationarity.csv"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+        self.check(tmp_path, "barycenter-suite")
 
     def test_rigidity_report_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        for out in (a, b):
-            assert run(["rigidity-report", "--steps", "4", "--nodes", "600",
-                        "--out", str(out)]) == 0
-        for name in ("rigidity-report.json", "rigidity-report.csv"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+        self.check(tmp_path, "rigidity-report")
 
 
 # The psi checks hold their drawn points plus one block of BLOCK_ROWS rows:
