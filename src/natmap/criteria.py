@@ -179,7 +179,7 @@ def volume_checks(path, samples: np.ndarray) -> VolumeChecks:
     complete, z0 = path[0], FIG8_COMPLETE_SHAPE
     hol = complete.representation
     rows = [(st.t, st.shapes, st.volume.value, FIG8_VOLUME - st.volume.value,
-             tuple(translation_length(g) for g in st.representation.generators))
+             tuple(translation_length(np.stack(st.representation.generators)).tolist()))
             for st in path]
     tail = [FIG8_VOLUME - st.volume.value for st in path if st.min_pole_distance < 1e-2]
     vols = bloch_wigner(samples[:, 0]) + bloch_wigner(samples[:, 1])
@@ -187,7 +187,7 @@ def volume_checks(path, samples: np.ndarray) -> VolumeChecks:
     return VolumeChecks(
         complete.edge_residual, complete.cusp_residual, complete.volume,
         max(hol.relator_residual(r) for r in hol.relators),
-        max(translation_length(g) for g in hol.generators),
+        max(rows[0][4]),
         min(d for (t, _, _, d, _) in rows if t >= 1e-2),
         min(tail) if tail else None,
         float(vols.max()), bool(np.all(vols[dist > 1e-6] < FIG8_VOLUME)), tuple(rows))

@@ -254,26 +254,30 @@ def random_isometry(rng: np.random.Generator, k: int,
 # translation length and fixed points
 # ---------------------------------------------------------------------------
 
-def translation_length(A: np.ndarray) -> float:
-    """inf_y d(gy, y) of the isometry g of H^3 with 2x2 complex matrix A,
-    from its trace; zero for elliptic and parabolic isometries."""
-    tr = complex(np.trace(A)) / cmath.sqrt(complex(np.linalg.det(A)))
-    ell = 2.0 * abs(cmath.acosh(tr / 2.0).real)
-    return ell if ell > 1e-12 else 0.0
+def translation_length(A: np.ndarray) -> np.ndarray:
+    """inf_y d(gy, y) of each isometry g of H^3 in a (..., 2, 2) stack of
+    complex matrices, from its trace over the square root of its
+    determinant; zero for elliptic and parabolic isometries."""
+    # bitwise np.trace: a two-term diagonal sums in this order
+    tr = (A[..., 0, 0] + A[..., 1, 1]) / np.sqrt(np.linalg.det(A))
+    ell = 2.0 * np.abs(np.arccosh(tr / 2.0).real)
+    return np.where(ell > 1e-12, ell, 0.0)
 
 
-def loxodromic_fixed_points(A: np.ndarray) -> tuple[BoundaryPoint, BoundaryPoint]:
-    """(attracting, repelling) ideal fixed points of the loxodromic isometry
-    of H^3 with 2x2 complex matrix A, from its eigenvectors."""
-    A = np.asarray(A, dtype=complex)
-    A = A / cmath.sqrt(complex(np.linalg.det(A)))
-    vals, vecs = np.linalg.eig(A)
-    order = np.argsort(np.abs(vals))
-    pts = []
-    for j in (order[-1], order[0]):
-        v = vecs[:, j]
-        pts.append(v[0] / v[1] if abs(v[1]) > 1e-14 * abs(v[0]) else cmath.inf)
-    return sphere_from_complex(pts[0]), sphere_from_complex(pts[1])
+def loxodromic_fixed_points(A: np.ndarray) -> np.ndarray:
+    """(n, 3) attracting fixed points of an (n, 2, 2) stack of complex
+    matrices of loxodromic isometries of H^3; the repelling point of g is
+    the attracting point of its inverse.
+
+    Rounding in ill-conditioned words reaches the points, so this keeps
+    the LAPACK eigenvectors of the determinant-normalised matrices rather
+    than the closed-form roots of the fixed-point quadratic.
+    """
+    vals, vecs = np.linalg.eig(A / np.sqrt(np.linalg.det(A))[:, None, None])
+    v = vecs[np.arange(len(A)), :, np.argmax(np.abs(vals), axis=1)]
+    finite = np.abs(v[:, 1]) > 1e-14 * np.abs(v[:, 0])
+    return sphere_from_complex(
+        np.where(finite, v[:, 0] / np.where(finite, v[:, 1], 1.0), np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +307,17 @@ def psl2_to_lorentz(A: np.ndarray) -> Isometry:
     return Isometry(0.5 * np.real(np.trace(chain, axis1=2, axis2=3)))
 
 
-def sphere_from_complex(z: complex) -> BoundaryPoint:
-    """Ideal point of H^3 from the Riemann-sphere coordinate (inf allowed)."""
-    if z == cmath.inf or (isinstance(z, complex) and not cmath.isfinite(z)):
-        return BoundaryPoint(np.array([0.0, 0.0, 1.0]))
-    r2 = z.real * z.real + z.imag * z.imag
-    return BoundaryPoint(np.array([
-        2.0 * z.real / (r2 + 1.0),
-        -2.0 * z.imag / (r2 + 1.0),
-        (r2 - 1.0) / (r2 + 1.0),
-    ]))
+def sphere_from_complex(z: np.ndarray) -> np.ndarray:
+    """(..., 3) ideal points of H^3 from Riemann-sphere coordinates, by
+    stereographic projection; inf goes to the north pole."""
+    z = np.asarray(z, dtype=complex)
+    finite = np.isfinite(z)
+    z = np.where(finite, z, 0.0)
+    x, y = z.real, z.imag
+    r2 = x * x + y * y
+    pts = np.stack([2.0 * x / (r2 + 1.0), -2.0 * y / (r2 + 1.0),
+                    (r2 - 1.0) / (r2 + 1.0)], axis=-1)
+    return np.where(finite[..., None], pts, (0.0, 0.0, 1.0))
 
 
 def adjugate(A: np.ndarray) -> np.ndarray:

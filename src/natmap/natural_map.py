@@ -28,6 +28,7 @@ from .geometry import (
     busemann_many,
     conformal_factor,
     distance,
+    loxodromic_fixed_points,
     psl2_to_lorentz,
     translation_length,
 )
@@ -122,9 +123,8 @@ class Representation:
         if max_word_length not in self._orbit_sources:
             words = _reduced_word_tree(len(self.generators), max_word_length)
             spins = _word_spins(self, words)
-            root_det = np.sqrt(np.linalg.det(spins))
-            lox = _spin_translation_lengths(spins, root_det) > ORBIT_LENGTH_TOL
-            fixed = _attracting_fixed_points(spins[lox], root_det[lox])
+            lox = translation_length(spins) > ORBIT_LENGTH_TOL
+            fixed = loxodromic_fixed_points(spins[lox])
             arrays = [lox, fixed] + [a for level in words for a in level if a is not None]
             for a in arrays:
                 a.setflags(write=False)
@@ -160,38 +160,6 @@ def _word_spins(rep: Representation, levels) -> np.ndarray:
         mats = letters[letter] if parent is None else mats[parent] @ letters[letter]
         out.append(mats)
     return np.concatenate(out)
-
-
-def _spin_translation_lengths(mats: np.ndarray, root_det: np.ndarray) -> np.ndarray:
-    """``translation_length`` of each spin matrix of an (n, 2, 2) stack,
-    given the square roots of their determinants."""
-    # bitwise np.trace: a two-term diagonal sums in this order
-    tr = (mats[:, 0, 0] + mats[:, 1, 1]) / root_det
-    ell = 2.0 * np.abs(np.arccosh(tr / 2.0).real)
-    return np.where(ell > 1e-12, ell, 0.0)
-
-
-def _attracting_fixed_points(mats: np.ndarray, root_det: np.ndarray) -> np.ndarray:
-    """(n, 3) attracting fixed points of an (n, 2, 2) stack of loxodromic
-    spin matrices, given the square roots of their determinants, as
-    ``loxodromic_fixed_points`` finds them one at a time.
-
-    Rounding in ill-conditioned words reaches the points, so this keeps
-    the LAPACK eigenvectors of the determinant-normalised matrices rather
-    than the closed-form roots of the fixed-point quadratic.
-    """
-    A = mats / root_det[:, None, None]
-    vals, vecs = np.linalg.eig(A)
-    v = vecs[np.arange(len(A)), :, np.argmax(np.abs(vals), axis=1)]
-    finite = np.abs(v[:, 1]) > 1e-14 * np.abs(v[:, 0])
-    z = v[:, 0] / np.where(finite, v[:, 1], 1.0)
-    # sphere_from_complex, with z = inf at the north pole
-    x, y = z.real, z.imag
-    r2 = x * x + y * y
-    pts = np.column_stack([2.0 * x / (r2 + 1.0), -2.0 * y / (r2 + 1.0),
-                           (r2 - 1.0) / (r2 + 1.0)])
-    pts[~finite] = (0.0, 0.0, 1.0)
-    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +216,11 @@ class OrbitBoundaryMap:
 
     approximate = True
 
-    def __init__(self, table_source: np.ndarray, target_spins: np.ndarray,
-                 target_root_det: np.ndarray):
+    def __init__(self, table_source: np.ndarray, target_spins: np.ndarray):
         from scipy.spatial import cKDTree
 
         self.table_source = table_source
         self._target_spins = target_spins
-        self._target_root_det = target_root_det
         self._target = np.empty((len(target_spins), 3))
         self._filled = np.zeros(len(target_spins), dtype=bool)
         self.source_dim = table_source.shape[1]
@@ -277,22 +243,20 @@ class OrbitBoundaryMap:
             raise ValueError("representations must share a generating set")
         words, src_lox, src_fixed = source._orbit_table_source(max_word_length)
         tgt = _word_spins(target, words)
-        tgt_root_det = np.sqrt(np.linalg.det(tgt))
-        tgt_lox = _spin_translation_lengths(tgt, tgt_root_det) > ORBIT_LENGTH_TOL
+        tgt_lox = translation_length(tgt) > ORBIT_LENGTH_TOL
         keep = src_lox & tgt_lox
         n = int(keep.sum())
         if n < min_table:
             raise ValueError(
                 f"orbit table too small ({n} < {min_table}); "
                 "increase max_word_length")
-        return cls(src_fixed[tgt_lox[src_lox]], tgt[keep], tgt_root_det[keep])
+        return cls(src_fixed[tgt_lox[src_lox]], tgt[keep])
 
     def _fill(self, idx: np.ndarray) -> None:
         # LAPACK factors and solves each matrix of a batch on its own, so
         # an entry is bitwise the same whichever batch computes it
         need = np.unique(idx[~self._filled[idx]])
-        self._target[need] = _attracting_fixed_points(self._target_spins[need],
-                                                      self._target_root_det[need])
+        self._target[need] = loxodromic_fixed_points(self._target_spins[need])
         self._filled[need] = True
 
     @property
@@ -540,7 +504,7 @@ def convergence_diagnostics(entries, family: VisualFamily, probes,
     rows = []
     for (t, rep, D, vol) in entries:
         pushed = PushedFamily(D, family)
-        lengths = tuple(float(translation_length(g)) for g in rep.generators)
+        lengths = tuple(translation_length(np.stack(rep.generators)).tolist())
         images = []
         for i, p in enumerate(probes):
             pair = operators_at(rep, pushed, family, p)

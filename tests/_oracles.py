@@ -153,6 +153,37 @@ def enumerate_reduced_words(n_generators: int, max_length: int):
         frontier = new
 
 
+def translation_length_scalar(A: np.ndarray) -> float:
+    """inf_y d(gy, y) of the isometry g of H^3 with one 2x2 complex matrix
+    A, from cmath's acosh of its half trace over the square root of its
+    determinant; zero for elliptic and parabolic isometries."""
+    tr = complex(np.trace(A)) / cmath.sqrt(complex(np.linalg.det(A)))
+    ell = 2.0 * abs(cmath.acosh(tr / 2.0).real)
+    return ell if ell > 1e-12 else 0.0
+
+
+def loxodromic_fixed_points_scalar(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(attracting, repelling) ideal fixed points, as unit vectors, of the
+    loxodromic isometry of H^3 with one 2x2 complex matrix A: the
+    eigenvectors of largest and smallest eigenvalue modulus, projected
+    from the Riemann sphere one at a time, infinity to the north pole."""
+    A = np.asarray(A, dtype=complex)
+    A = A / cmath.sqrt(complex(np.linalg.det(A)))
+    vals, vecs = np.linalg.eig(A)
+    order = np.argsort(np.abs(vals))
+    pts = []
+    for j in (order[-1], order[0]):
+        v = vecs[:, j]
+        if not abs(v[1]) > 1e-14 * abs(v[0]):
+            pts.append(np.array([0.0, 0.0, 1.0]))
+            continue
+        z = v[0] / v[1]
+        r2 = z.real * z.real + z.imag * z.imag
+        pts.append(np.array([2.0 * z.real / (r2 + 1.0), -2.0 * z.imag / (r2 + 1.0),
+                             (r2 - 1.0) / (r2 + 1.0)]))
+    return pts[0], pts[1]
+
+
 def cross_ratio(a: complex, b: complex, c: complex, d: complex) -> complex:
     """(d-a)(c-b) / ((c-a)(d-b)), so that cr(0, inf, 1, z) = z.
 

@@ -171,11 +171,12 @@ class TestIsometries:
         g0 = spin_boost(1.2)
         h = random_spin_isometry(rng)
         g = h @ g0 @ geo.adjugate(h)
-        att, repl = geo.loxodromic_fixed_points(g)
+        # the attracting point of g's inverse is g's repelling point
+        att, repl = geo.loxodromic_fixed_points(np.stack([g, geo.adjugate(g)]))
         for p in (att, repl):
-            img = geo.psl2_to_lorentz(g).apply_boundary_many(p.direction[None, :])[0]
-            assert np.max(np.abs(img - p.direction)) < 1e-9
-        assert np.max(np.abs(att.direction - repl.direction)) > 0.1
+            img = geo.psl2_to_lorentz(g).apply_boundary_many(p[None, :])[0]
+            assert np.max(np.abs(img - p)) < 1e-9
+        assert np.max(np.abs(att - repl)) > 0.1
 
 
 class TestModelConversions:
@@ -226,6 +227,13 @@ class TestTranslationLength:
         rot = np.diag([np.exp(0.4j), np.exp(-0.4j)])
         assert geo.translation_length(rot) == 0.0
 
+    def test_stack_matches_scalar_reference(self, rng):
+        mats = np.array([[random_spin_isometry(rng) for _ in range(4)] for _ in range(5)])
+        ell = geo.translation_length(mats)
+        assert ell.shape == (5, 4)
+        ref = [[oracles.translation_length_scalar(m) for m in row] for row in mats]
+        assert np.allclose(ell, ref, rtol=1e-13, atol=0.0)
+
 
 class TestSpinModel:
     def test_mobius_vs_lorentz_boundary_action(self, rng):
@@ -234,17 +242,17 @@ class TestSpinModel:
             iso = geo.psl2_to_lorentz(A)
             z = complex(*rng.standard_normal(2))
             th = geo.sphere_from_complex(z)
-            lhs = iso.apply_boundary_many(th.direction[None, :])[0]
-            rhs = geo.sphere_from_complex(geo.mobius_apply(A, z)).direction
+            lhs = iso.apply_boundary_many(th[None, :])[0]
+            rhs = geo.sphere_from_complex(geo.mobius_apply(A, z))
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_sphere_chart_round_trip(self, rng):
-        for _ in range(10):
-            d = random_sphere_point(rng).direction
-            # inverse stereographic projection from the north pole
-            back = geo.sphere_from_complex(complex(d[0], -d[1]) / (1.0 - d[2]))
-            assert np.max(np.abs(back.direction - d)) < 1e-12
-        assert np.array_equal(geo.sphere_from_complex(complex("inf")).direction, [0, 0, 1])
+        d = np.array([random_sphere_point(rng).direction for _ in range(10)])
+        # inverse stereographic projection from the north pole
+        back = geo.sphere_from_complex((d[:, 0] - 1j * d[:, 1]) / (1.0 - d[:, 2]))
+        assert np.max(np.abs(back - d)) < 1e-12
+        assert np.array_equal(geo.sphere_from_complex(np.array([np.inf, 0.0])),
+                              [[0, 0, 1], [0, 0, -1]])
 
     def test_spin_length_matches_lorentz(self):
         # the axis of z -> 4z passes through the origin, which the Lorentz
