@@ -484,8 +484,7 @@ def holonomy_from_shapes(tri: IdealTriangulation, shapes,
     ``gluing_residual``, must have its edge residual at most 1e-8."""
     if residual.max_edge() > 1e-8:
         raise ValueError(f"edge residual {residual.max_edge():.2e} exceeds 1e-8")
-    _, generators = develop(tri, np.asarray(shapes, dtype=complex))
-    return Representation(tuple(_normalize_det(g) for g in generators),
+    return Representation(develop(tri, np.asarray(shapes, dtype=complex))[1],
                           tri.presentation[1])
 
 
