@@ -5,8 +5,8 @@ best conditioned there); isometries are Lorentz matrices acting on the
 hyperboloid.  Conversions between the two charts are explicit and exact.
 For k = 3 a holonomy is composed from 2x2 complex matrices in SL(2,C),
 whose long products round far less than 4x4 ones; translation lengths and
-fixed points are read from those matrices, and ``psl2_to_lorentz`` gives
-the Lorentz matrix of one.
+attracting fixed points are read from stacks of those matrices, and
+``psl2_to_lorentz`` gives the Lorentz matrix of one.
 
 Conventions
 -----------

@@ -80,7 +80,9 @@ _LETTERS = "abcdefgh"
 @dataclass(frozen=True)
 class Representation:
     """Group representation into PSL(2,C): the generators as 2x2 complex
-    matrices of unit determinant, plus relator words.
+    matrices of unit determinant (``develop`` normalises a holonomy's once;
+    each word is renormalised where it is classified, since products drift
+    off determinant 1 by rounding), plus relator words.
 
     Words use one lowercase letter per generator, uppercase for its
     inverse ('abAB' is a b a^-1 b^-1).
@@ -234,10 +236,10 @@ class OrbitBoundaryMap:
         loxodromic (translation length above ``ORBIT_LENGTH_TOL``) on both
         sides.
 
-        Works on all words at once from the k = 3 spin matrices, and takes
-        the source half from ``source._orbit_table_source``; the table is
-        bitwise the one of evaluating each word, filtering it with
-        ``translation_length`` and taking ``loxodromic_fixed_points``.
+        Works on all words at once from the k = 3 spin matrices, which
+        ``translation_length`` classifies and ``loxodromic_fixed_points``
+        (on demand, for the target) resolves, and takes the source half
+        from ``source._orbit_table_source``.
         """
         if len(source.generators) != len(target.generators):
             raise ValueError("representations must share a generating set")
