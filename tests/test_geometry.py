@@ -177,6 +177,8 @@ class TestIsometries:
             img = geo.psl2_to_lorentz(g).apply_boundary_many(p[None, :])[0]
             assert np.max(np.abs(img - p)) < 1e-9
         assert np.max(np.abs(att - repl)) > 0.1
+        for p, ref in zip((att, repl), oracles.loxodromic_fixed_points_scalar(g)):
+            assert np.max(np.abs(p - ref)) < 1e-12
 
 
 class TestModelConversions:
