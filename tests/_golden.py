@@ -37,6 +37,9 @@ CASES = {
                                "--seed", "7"], ("psi-scan.json",)),
     "psi-converse": (["psi-converse", "--trials", "20000", "--seed", "7"],
                      ("psi-converse.json",)),
+    "natural-map-suite": (["natural-map-suite", "--nodes", "600"],
+                          ("natural-map-suite.json", "natural-map-identity.csv",
+                           "natural-map-deformed.csv")),
     "volume-path": (["volume-path", "--steps", "12"],
                     ("volume-path.json", "volume-path.csv")),
     "barycenter-suite": (["barycenter-suite", "--seed", "7"],

@@ -246,6 +246,9 @@ class TestDeterminism:
     def test_psi_converse_byte_identical(self, tmp_path):
         self.check(tmp_path, "psi-converse")
 
+    def test_natural_map_suite_byte_identical(self, tmp_path):
+        self.check(tmp_path, "natural-map-suite")
+
     def test_volume_path_byte_identical(self, tmp_path):
         self.check(tmp_path, "volume-path")
 
