@@ -287,10 +287,11 @@ def cmd_rigidity_report(args) -> int:
         diag = criteria.path_diagnostics(path, VisualFamily(3, args.nodes), probes)
         rows = []
         for r in diag.rows:
-            lens = ";".join(f"{v:.12g}" for v in r.translation_lengths)
-            rows.append(f"{r.parameter:.12g},{r.probe_index},{r.jac:.12g},{r.h_deviation:.12g},"
-                        f"{r.h_lambda_max:.12g},{r.h_eigen_dev:.12g},{r.df_norm:.12g},"
-                        f"{r.lipschitz:.12g},{lens},{r.volume:.12g},{r.volume_deficit:.12g},"
+            lens = ";".join(_fmt(v) for v in r.translation_lengths)
+            rows.append(f"{_fmt(r.parameter)},{r.probe_index},{_fmt(r.jac)},"
+                        f"{_fmt(r.h_deviation)},{_fmt(r.h_lambda_max)},"
+                        f"{_fmt(r.h_eigen_dev)},{_fmt(r.df_norm)},{_fmt(r.lipschitz)},"
+                        f"{lens},{_fmt(r.volume)},{_fmt(r.volume_deficit)},"
                         f"{int(r.approximate_boundary_map)}")
         _write_csv(Path(args.out), "rigidity-report.csv",
                    "parameter,probe_index,jac,H_dev,H_lambda_max,H_eigen_dev,DF_norm,"
