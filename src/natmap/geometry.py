@@ -18,6 +18,9 @@ Conventions
   the conformal orthonormal frame E_i = ((1-|x|^2)/2) d/dx_i.  The frame
   components of a Busemann gradient form a unit Euclidean vector, and the
   Hessian of B(., theta) is I - b b^T with b that vector.
+* For k = 3 an ideal point is a homogeneous pair (z0, z1) in C^2, the
+  point at infinity (1, 0) among them, and a 2x2 complex matrix A moves it
+  to A @ (z0, z1); ``sphere_from_homogeneous`` gives its unit direction.
 """
 
 from __future__ import annotations
@@ -274,10 +277,8 @@ def loxodromic_fixed_points(A: np.ndarray) -> np.ndarray:
     than the closed-form roots of the fixed-point quadratic.
     """
     vals, vecs = np.linalg.eig(A / np.sqrt(np.linalg.det(A))[:, None, None])
-    v = vecs[np.arange(len(A)), :, np.argmax(np.abs(vals), axis=1)]
-    finite = np.abs(v[:, 1]) > 1e-14 * np.abs(v[:, 0])
-    return sphere_from_complex(
-        np.where(finite, v[:, 0] / np.where(finite, v[:, 1], 1.0), np.inf))
+    return sphere_from_homogeneous(
+        vecs[np.arange(len(A)), :, np.argmax(np.abs(vals), axis=1)])
 
 
 # ---------------------------------------------------------------------------
@@ -307,17 +308,18 @@ def psl2_to_lorentz(A: np.ndarray) -> Isometry:
     return Isometry(0.5 * np.real(np.trace(chain, axis1=2, axis2=3)))
 
 
-def sphere_from_complex(z: np.ndarray) -> np.ndarray:
-    """(..., 3) ideal points of H^3 from Riemann-sphere coordinates, by
-    stereographic projection; inf goes to the north pole."""
-    z = np.asarray(z, dtype=complex)
-    finite = np.isfinite(z)
-    z = np.where(finite, z, 0.0)
-    x, y = z.real, z.imag
-    r2 = x * x + y * y
-    pts = np.stack([2.0 * x / (r2 + 1.0), -2.0 * y / (r2 + 1.0),
-                    (r2 - 1.0) / (r2 + 1.0)], axis=-1)
-    return np.where(finite[..., None], pts, (0.0, 0.0, 1.0))
+def sphere_from_homogeneous(v: np.ndarray) -> np.ndarray:
+    """(..., 3) ideal points of H^3 from (..., 2) homogeneous coordinates
+    (z0, z1) on the Riemann sphere, by stereographic projection of z0 / z1:
+    (2 Re w, -2 Im w, |z0|^2 - |z1|^2) / (|z0|^2 + |z1|^2) with w = z0 z1*.
+    The point at infinity (1, 0) goes to the north pole."""
+    v = np.asarray(v, dtype=complex)
+    z0, z1 = v[..., 0], v[..., 1]
+    w = z0 * z1.conj()
+    n0 = z0.real * z0.real + z0.imag * z0.imag
+    n1 = z1.real * z1.real + z1.imag * z1.imag
+    s = n0 + n1
+    return np.stack([2.0 * w.real / s, -2.0 * w.imag / s, (n0 - n1) / s], axis=-1)
 
 
 def adjugate(A: np.ndarray) -> np.ndarray:
@@ -325,16 +327,3 @@ def adjugate(A: np.ndarray) -> np.ndarray:
     inverse matrix when det A = 1."""
     a, b, c, d = A.ravel()
     return np.array([[d, -b], [-c, a]], dtype=complex)
-
-
-def mobius_apply(A: np.ndarray, z: complex) -> complex:
-    """Apply a 2x2 complex matrix as a Mobius map of C u {inf}."""
-    a, b, c, d = A.ravel()
-    if z == cmath.inf or not cmath.isfinite(z):
-        return a / c if c != 0 else cmath.inf
-    num = a * z + b
-    den = c * z + d
-    if den == 0:
-        return cmath.inf
-    return num / den
-

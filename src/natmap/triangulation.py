@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import adjugate, mobius_apply
+from .geometry import adjugate
 from .natural_map import _LETTERS, Representation
 
 TWO_PI_I = 2j * np.pi
@@ -278,16 +278,16 @@ def volume_of_shapes(shapes) -> VolumeValue:
 # developing in the Riemann sphere
 # ---------------------------------------------------------------------------
 
-def _mobius_to_zero_inf_one(a: complex, b: complex, c: complex) -> np.ndarray:
-    """Matrix of the Mobius map sending (a, b, c) to (0, inf, 1)."""
-    INF = cmath.inf
-    if a == INF:
-        return np.array([[0.0, c - b], [1.0, -b]], dtype=complex)
-    if b == INF:
-        return np.array([[1.0, -a], [0.0, c - a]], dtype=complex)
-    if c == INF:
-        return np.array([[1.0, -a], [1.0, -b]], dtype=complex)
-    return np.array([[c - b, -a * (c - b)], [c - a, -b * (c - a)]], dtype=complex)
+def _mobius_to_zero_inf_one(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Matrix of the Mobius map sending the homogeneous points (a, b, c) to
+    (0, inf, 1): its rows r1 = (a1, -a0) and r2 = (b1, -b0) vanish on a and
+    b, and scaling them by r2 . c and r1 . c sends c to (1, 1) up to scale."""
+    r1 = np.array([a[1], -a[0]])
+    r2 = np.array([b[1], -b[0]])
+    # the dot products as explicit sums, which for a1 = b1 = c1 = 1 are
+    # c0 - b0 and c0 - a0 bit for bit
+    return np.array([(r2[0] * c[0] + r2[1] * c[1]) * r1,
+                     (r1[0] * c[0] + r1[1] * c[1]) * r2])
 
 
 def _normalize_det(M: np.ndarray) -> np.ndarray:
@@ -297,39 +297,37 @@ def _normalize_det(M: np.ndarray) -> np.ndarray:
     return M / cmath.sqrt(det)
 
 
-_NORMALIZED = (0.0 + 0.0j, cmath.inf, 1.0 + 0.0j)
+def _normalized_positions(z: complex) -> np.ndarray:
+    """Rows (0, 1), (1, 0), (1, 1), (z, 1): the vertices 0, inf, 1, z."""
+    return np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [z, 1.0]], dtype=complex)
 
 
-def _normalized_positions(z: complex):
-    return (*_NORMALIZED, z)
-
-
-def _place_through_face(positions, face: int, perm, z_new: complex):
-    """Positions of the neighbor tet copy sharing the face opposite ``face``.
+def _place_through_face(positions: np.ndarray, face: int, perm, z_new: complex):
+    """Vertex positions of the neighbor tet copy sharing the face opposite
+    ``face``, as the (4, 2) rows of homogeneous points, and the matrix that
+    carries the neighbor's normalized positions there.
 
     ``positions`` are the current tet's developed vertices; the neighbor's
     vertex perm[i] lands on positions[i] for i != face, and its remaining
     vertex is found from its own shape parameter.
     """
     known = {perm[i]: positions[i] for i in range(4) if i != face}
-    missing = next(v for v in range(4) if v not in known)
     norm = _normalized_positions(z_new)
     idx = sorted(known.keys())
     M_norm = _mobius_to_zero_inf_one(*(norm[v] for v in idx))
     M_img = _mobius_to_zero_inf_one(*(known[v] for v in idx))
     A = adjugate(M_img) @ M_norm
-    out = [None] * 4
-    for v in range(4):
-        out[v] = known[v] if v in known else mobius_apply(A, norm[v])
-    return tuple(out), A
+    return np.array([known[v] if v in known else A @ norm[v] for v in range(4)]), A
 
 
 def develop(tri: IdealTriangulation, shapes) -> tuple[tuple, tuple]:
-    """Placements (per tet, developed vertex positions) of one fundamental
-    set, and the unit-det deck transformation of each generator gluing of
-    ``tri.presentation``, identifying the far copy with its fundamental
-    placement.  Tetrahedron 0 sits at its normalized positions, and the
-    spanning tree places every other tetrahedron once.
+    """Placements (per tet, the (4, 2) homogeneous coordinates of its
+    developed vertices) of one fundamental set, and the unit-det deck
+    transformation of each generator gluing of ``tri.presentation``,
+    identifying the far copy with its fundamental placement.  Tetrahedron 0
+    sits at its normalized positions, and the spanning tree places every
+    other tetrahedron once.  A generator is an element of PSL(2,C): its
+    matrix is defined up to sign.
     """
     z = np.asarray(shapes, dtype=complex)
     if np.any(np.abs(z) < 1e-10) or np.any(np.abs(1.0 - z) < 1e-10):

@@ -165,36 +165,31 @@ def translation_length_scalar(A: np.ndarray) -> float:
 def loxodromic_fixed_points_scalar(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(attracting, repelling) ideal fixed points, as unit vectors, of the
     loxodromic isometry of H^3 with one 2x2 complex matrix A: the
-    eigenvectors of largest and smallest eigenvalue modulus, projected
-    from the Riemann sphere one at a time, infinity to the north pole."""
+    eigenvectors (z0, z1) of largest and smallest eigenvalue modulus,
+    projected from the Riemann sphere one at a time as
+    (2 Re w, -2 Im w, |z0|^2 - |z1|^2) / (|z0|^2 + |z1|^2), w = z0 z1*."""
     A = np.asarray(A, dtype=complex)
     A = A / cmath.sqrt(complex(np.linalg.det(A)))
     vals, vecs = np.linalg.eig(A)
     order = np.argsort(np.abs(vals))
     pts = []
     for j in (order[-1], order[0]):
-        v = vecs[:, j]
-        if not abs(v[1]) > 1e-14 * abs(v[0]):
-            pts.append(np.array([0.0, 0.0, 1.0]))
-            continue
-        z = v[0] / v[1]
-        r2 = z.real * z.real + z.imag * z.imag
-        pts.append(np.array([2.0 * z.real / (r2 + 1.0), -2.0 * z.imag / (r2 + 1.0),
-                             (r2 - 1.0) / (r2 + 1.0)]))
+        z0, z1 = vecs[0, j], vecs[1, j]
+        w = z0 * z1.conjugate()
+        n0 = z0.real * z0.real + z0.imag * z0.imag
+        n1 = z1.real * z1.real + z1.imag * z1.imag
+        s = n0 + n1
+        pts.append(np.array([2.0 * w.real / s, -2.0 * w.imag / s, (n0 - n1) / s]))
     return pts[0], pts[1]
 
 
-def cross_ratio(a: complex, b: complex, c: complex, d: complex) -> complex:
-    """(d-a)(c-b) / ((c-a)(d-b)), so that cr(0, inf, 1, z) = z.
-
-    Each point sits in one factor above and one below the line, so an
-    infinite point is taken to the limit by dropping both its factors.
-    """
-    out = 1.0 + 0.0j
-    for p, q, power in ((d, a, 1), (c, b, 1), (c, a, -1), (d, b, -1)):
-        if cmath.isfinite(p) and cmath.isfinite(q):
-            out *= (p - q) ** power
-    return out
+def cross_ratio(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> complex:
+    """(d-a)(c-b) / ((c-a)(d-b)) of four homogeneous points (p0, p1) of the
+    Riemann sphere, each difference p - q read as the determinant
+    p0 q1 - p1 q0, so that cr(0, inf, 1, z) = z."""
+    def diff(p, q):
+        return p[0] * q[1] - p[1] * q[0]
+    return complex(diff(d, a) * diff(c, b) / (diff(c, a) * diff(d, b)))
 
 
 def weighted_outer(w: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -242,18 +242,19 @@ class TestSpinModel:
         for _ in range(5):
             A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             iso = geo.psl2_to_lorentz(A)
-            z = complex(*rng.standard_normal(2))
-            th = geo.sphere_from_complex(z)
+            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            th = geo.sphere_from_homogeneous(v)
             lhs = iso.apply_boundary_many(th[None, :])[0]
-            rhs = geo.sphere_from_complex(geo.mobius_apply(A, z))
+            rhs = geo.sphere_from_homogeneous(A @ v)
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_sphere_chart_round_trip(self, rng):
         d = np.array([random_sphere_point(rng).direction for _ in range(10)])
         # inverse stereographic projection from the north pole
-        back = geo.sphere_from_complex((d[:, 0] - 1j * d[:, 1]) / (1.0 - d[:, 2]))
+        back = geo.sphere_from_homogeneous(
+            np.stack([d[:, 0] - 1j * d[:, 1], 1.0 - d[:, 2]], axis=-1))
         assert np.max(np.abs(back - d)) < 1e-12
-        assert np.array_equal(geo.sphere_from_complex(np.array([np.inf, 0.0])),
+        assert np.array_equal(geo.sphere_from_homogeneous(np.array([[1, 0], [0, 1]])),
                               [[0, 0, 1], [0, 0, -1]])
 
     def test_spin_length_matches_lorentz(self):

@@ -59,7 +59,7 @@ class TestBlochWigner:
 
     def test_five_term_relation(self, rng):
         for _ in range(10):
-            p = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+            p = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
             total = 0.0
             for i in range(5):
                 q = [p[j] for j in range(5) if j != i]
