@@ -229,7 +229,8 @@ def grid_minimize_phi(beta: BoundaryMeasure) -> HPoint:
     measure is lopsided enough to push the minimizer deeper.
     """
     k = beta.dimension
-    r_ball = np.tanh(_coercivity_radius(beta) / 2.0)   # chart radius of the ball
+    radius = _coercivity_radius(beta)
+    r_ball = np.tanh(radius / 2.0)   # chart radius of the ball
     step = 0.25 * r_ball
     offsets = np.array(np.meshgrid(*([[-1.0, 0.0, 1.0]] * k))).reshape(k, -1).T
     offsets = offsets[np.any(offsets != 0.0, axis=1)]
@@ -237,8 +238,9 @@ def grid_minimize_phi(beta: BoundaryMeasure) -> HPoint:
     best_val = _phi_chart(beta, best)
     # pattern search: walk the grid at each scale until no neighbor improves,
     # then halve the spacing; chart step h corresponds to hyperbolic scale
-    # 2h/(1-r^2) at radius r, hence the stopping rescale
-    while step > 1e-4 * (1.0 - r_ball * r_ball) / 2.0:
+    # 2h/(1-r^2) at radius r, hence the stopping rescale; 1 - r_ball^2 is
+    # formed as 1/cosh^2, since tanh rounds to 1 at the largest radii
+    while step > 1e-4 / (2.0 * np.cosh(radius / 2.0) ** 2):
         moved = True
         while moved:
             moved = False

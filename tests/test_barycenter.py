@@ -323,6 +323,27 @@ class TestBarycenter:
                 grid = bc.grid_minimize_phi(m)
                 assert geo.distance(newton, grid) <= 2e-3
 
+    # at the 60.0 radius cap tanh(30) rounds to 1, and the grid's stop rule
+    # once read step > 0: the search halved its step until it underflowed
+    def test_grid_oracle_at_the_radius_cap(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        while True:
+            w = np.concatenate([[0.49], 0.51 * rng.dirichlet(np.ones(3))])
+            m = ms.atomic_measure(w, rng.standard_normal((4, 3)))
+            if bc._coercivity_radius(m) >= 60.0:
+                break
+        calls = []
+        phi_chart = bc._phi_chart
+
+        def counted(*args):
+            calls.append(args)
+            return phi_chart(*args)
+
+        monkeypatch.setattr(bc, "_phi_chart", counted)
+        grid = bc.grid_minimize_phi(m)
+        assert len(calls) < 10_000
+        assert geo.distance(bc.barycenter(m).location, grid) <= 1e-6
+
     def test_coercivity_proxy(self, rng):
         m = random_spread_measure(rng)
         v0 = phi(m, bc.barycenter(m).location)
