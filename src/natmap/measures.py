@@ -54,7 +54,8 @@ def sphere_quadrature(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     For k = 2 the n-point uniform circle rule, exact up to degree n - 1;
     for k >= 3 the smallest Gauss-Jacobi product rule (one Gauss-Jacobi
-    rule in each polar angle, spectrally accurate) that reaches n nodes.
+    rule in each polar angle, spectrally accurate) that reaches n nodes:
+    the rule of order p has p^(k-2) max(2p, 4) nodes.
     """
     if k < 2:
         raise ValueError("sphere dimension needs k >= 2")
@@ -64,11 +65,11 @@ def sphere_quadrature(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         ang = 2.0 * np.pi * (np.arange(n) + 0.5) / n
         return np.column_stack([np.cos(ang), np.sin(ang)]), np.full(n, 1.0 / n)
     for order in range(2, MAX_GAUSS_ORDER + 1):
-        pts, w = _product_sphere(k - 1, order)
-        if pts.shape[0] >= n:
-            return pts, w
+        if order ** (k - 2) * max(2 * order, 4) >= n:
+            return _product_sphere(k - 1, order)
     raise ValueError(f"product-gauss rule on S^{k - 1} reaches at most "
-                     f"{pts.shape[0]} nodes; {n} requested")
+                     f"{MAX_GAUSS_ORDER ** (k - 2) * 2 * MAX_GAUSS_ORDER} nodes; "
+                     f"{n} requested")
 
 
 # ---------------------------------------------------------------------------

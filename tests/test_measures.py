@@ -41,6 +41,25 @@ class TestSphereQuadrature:
         with pytest.raises(ValueError, match="at most 13122 nodes"):
             ms.sphere_quadrature(3, 20000)
 
+    # the order follows from the node count; every smaller rule was once
+    # built and thrown away, 31 of them for 2000 nodes on S^2
+    @pytest.mark.parametrize("k, n", [(3, 2000), (3, 13122), (4, 5000)])
+    def test_one_rule_built(self, monkeypatch, k, n):
+        orders = []
+        build = ms._product_sphere
+
+        def recorded(dim_sphere, order):
+            if dim_sphere == k - 1:
+                orders.append(order)
+            return build(dim_sphere, order)
+
+        monkeypatch.setattr(ms, "_product_sphere", recorded)
+        pts, _ = ms.sphere_quadrature(k, n)
+        assert len(orders) == 1
+        p = orders[0]
+        assert pts.shape[0] == p ** (k - 2) * max(2 * p, 4) >= n
+        assert (p - 1) ** (k - 2) * max(2 * (p - 1), 4) < n
+
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_no_nodes_rejected(self, k):
         # n = 0 once returned the 8-node rule on S^2 and empty arrays on S^1
