@@ -166,7 +166,7 @@ class VolumeChecks:
     relator_residual: float
     generator_translation: float
     path_deficit: float       # smallest Vol(M) - Vol(rho_t) over t >= 1e-2
-    tail_deficit: float | None  # the same over steps within 1e-2 of a pole
+    tail_deficit: float       # the same over steps within 1e-2 of a pole
     sample_volume: float      # largest volume of a variety sample
     strict_deficit: bool      # Vol < Vol(M) for samples 1e-6 off the complete shapes
     rows: tuple               # (t, shapes, volume, deficit, translation lengths) per step
@@ -175,13 +175,15 @@ class VolumeChecks:
 def volume_checks(path, samples: np.ndarray) -> VolumeChecks:
     """The complete structure ``path[0]``, the deformation ``path`` and
     the (n, 2) gluing-variety ``samples`` of the figure-eight knot
-    complement."""
+    complement.  Some step of ``path`` must come within 1e-2 of a pole."""
     complete, z0 = path[0], FIG8_COMPLETE_SHAPE
     hol = complete.representation
     rows = [(st.t, st.shapes, st.volume.value, FIG8_VOLUME - st.volume.value,
              tuple(translation_length(np.stack(st.representation.generators)).tolist()))
             for st in path]
     tail = [FIG8_VOLUME - st.volume.value for st in path if st.min_pole_distance < 1e-2]
+    if not tail:
+        raise ValueError("no step of the path comes within 1e-2 of a pole")
     vols = bloch_wigner(samples[:, 0]) + bloch_wigner(samples[:, 1])
     dist = np.maximum(np.abs(samples[:, 0] - z0), np.abs(samples[:, 1] - z0))
     return VolumeChecks(
@@ -189,7 +191,7 @@ def volume_checks(path, samples: np.ndarray) -> VolumeChecks:
         max(hol.relator_residual(r) for r in hol.relators),
         max(rows[0][4]),
         min(d for (t, _, _, d, _) in rows if t >= 1e-2),
-        min(tail) if tail else None,
+        min(tail),
         float(vols.max()), bool(np.all(vols[dist > 1e-6] < FIG8_VOLUME)), tuple(rows))
 
 

@@ -48,59 +48,32 @@ _BERNOULLI[2:35:2] = [
 ]
 
 
-def _li2_bernoulli(z: np.ndarray) -> np.ndarray:
-    """Li2 via the Debye series in u = -log(1-z).
-
-    Converges like (|u| / 2 pi)^n; after the standard reductions |u| stays
-    below 1.9, so 34 terms reach full double precision, including on the
-    unit circle where the raw power series is useless.
-    """
-    u = -np.log(1.0 - z)
-    out = np.zeros_like(z)
-    term = np.ones_like(z)           # u^k / k! running term, k = 0
-    for k in range(0, 35):
-        term_next = term * u / (k + 1)
-        if _BERNOULLI[k] != 0.0:
-            out = out + _BERNOULLI[k] * term_next
-        term = term_next
-    return out
-
-
-def dilog(z) -> complex | np.ndarray:
-    """Complex dilogarithm Li2 with principal branches."""
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z).copy()
-
-    # inversion |z| > 1: Li2(z) = -Li2(1/z) - pi^2/6 - log(-z)^2 / 2
-    inv = np.abs(z) > 1.0
-    pref = np.zeros_like(z)
-    sign = np.ones(z.shape)
-    w = z.copy()
-    if np.any(inv):
-        pref[inv] = -np.pi ** 2 / 6.0 - 0.5 * np.log(-z[inv]) ** 2
-        sign[inv] = -1.0
-        w[inv] = 1.0 / z[inv]
-    # reflection Re w > 1/2: Li2(w) = pi^2/6 - log(w) log(1-w) - Li2(1-w)
-    refl = np.real(w) > 0.5
-    if np.any(refl):
-        lw = np.log(w[refl]) * np.log(1.0 - w[refl])
-        pref[refl] = pref[refl] + sign[refl] * (np.pi ** 2 / 6.0 - lw)
-        sign[refl] = -sign[refl]
-        w[refl] = 1.0 - w[refl]
-    out = pref + sign * _li2_bernoulli(w)
-    return complex(out[0]) if scalar else out
+# Debye coefficients B_k / (k+1)!, highest power first for np.polyval:
+# Li2(w) = u sum_k B_k u^k / (k+1)! at u = -log(1-w)
+_DEBYE = (_BERNOULLI / np.cumprod(np.arange(1.0, 36.0)))[::-1]
 
 
 def bloch_wigner(z) -> float | np.ndarray:
-    """D(z) = Im Li2(z) + arg(1-z) log|z}: volume of the ideal tetrahedron
-    with cross ratio z.  Real z (flat tetrahedra) return exactly 0."""
+    """D(z) = Im Li2(z) + arg(1-z) log|z|: volume of the ideal tetrahedron
+    with cross ratio z.  Real z (flat tetrahedra) return exactly 0.
+
+    D(1/z) = D(1-z) = -D(z), so z is reduced to w with |w| <= 1 and
+    Re w <= 1/2 (1/z where |z| > 1, then 1 - w where Re w > 1/2), and D is
+    negated where one reduction applied.  There |u| = |log(1-w)| <= pi/3,
+    and the Debye series reaches double precision, on the unit circle too.
+    """
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
     if np.any((z == 0) | (z == 1)):
         raise ValueError("dilogarithm pole at z in {0, 1}")
-    val = np.imag(dilog(z)) + np.angle(1.0 - z) * np.log(np.abs(z))
+    inv = np.abs(z) > 1.0
+    w = np.where(inv, 1.0 / z, z)
+    refl = np.real(w) > 0.5
+    w = np.where(refl, 1.0 - w, w)
+    u = -np.log(1.0 - w)
+    val = np.imag(u * np.polyval(_DEBYE, u)) + np.angle(1.0 - w) * np.log(np.abs(w))
+    val = np.where(inv ^ refl, -val, val)
     val[np.imag(z) == 0.0] = 0.0
     return float(val[0]) if scalar else val
 
@@ -490,13 +463,13 @@ def holonomy_from_shapes(tri: IdealTriangulation, shapes,
 # the gluing variety of the figure-eight: sampling and paths
 # ---------------------------------------------------------------------------
 
-def _fig8_partner(z: complex, branch: int) -> complex:
-    """w with z^2 w^2 = (1-z)(1-w): the rectangular edge equation."""
-    # z^2 w^2 + (1-z) w - (1-z) = 0
-    a, b, c = z * z, (1.0 - z), -(1.0 - z)
-    disc = cmath.sqrt(b * b - 4.0 * a * c)
-    roots = ((-b + disc) / (2 * a), (-b - disc) / (2 * a))
-    return roots[branch]
+def _fig8_partner(z, branch):
+    """w with z^2 w^2 = (1-z)(1-w), the rectangular edge equation, elementwise:
+    the root of z^2 w^2 + (1-z) w - (1-z) = 0 that takes +disc on branch 0
+    and -disc on branch 1."""
+    a, b = z * z, 1.0 - z
+    disc = np.sqrt(b * b + 4.0 * a * b)
+    return (-b + (1 - 2 * branch) * disc) / (2 * a)
 
 
 def solve_edge_equations(tri: IdealTriangulation, start):
@@ -548,10 +521,12 @@ def deformation_path(tri: IdealTriangulation, steps: int,
     from the complete value toward the pole at 1; the remaining shapes are
     corrected by Newton at every step, with step halving on stalls.  The
     partner shape runs to 0, so the end of the path approaches an ideal
-    point of the variety.
+    point of the variety, if ``steps`` is at least 2 (one step ends at 0.02).
     """
     if tri.name != "figure-eight":
         raise ValueError("built-in paths exist for the figure-eight only")
+    if steps < 2:
+        raise ValueError(f"a path needs at least 2 steps, got {steps}")
     z0 = FIG8_COMPLETE_SHAPE
     current = np.array([z0, z0])
     out = [_path_step(tri, 0.0, current.copy())]
@@ -583,7 +558,7 @@ def _path_step(tri: IdealTriangulation, t: float, shapes: np.ndarray) -> PathSte
     res = gluing_residual(tri, shapes)
     rep = holonomy_from_shapes(tri, shapes, res)
     poles = np.concatenate([np.abs(shapes), np.abs(1.0 - shapes),
-                            1.0 / np.maximum(np.abs(shapes), 1e-30)])
+                            1.0 / np.abs(shapes)])
     return PathStep(t, shapes, volume_of_shapes(shapes), rep,
                     res.max_edge(), res.max_cusp(), float(poles.min()))
 
@@ -591,21 +566,13 @@ def _path_step(tri: IdealTriangulation, t: float, shapes: np.ndarray) -> PathSte
 def sample_gluing_variety(rng: np.random.Generator, n: int) -> np.ndarray:
     """(n, 2) random solutions of the figure-eight edge equations.
 
-    The first shape is uniform over the box [-6, 7] x [-6, 6] around the
-    interesting region and the partner solves the rectangular equation
-    (both quadratic branches).
+    2n first shapes are drawn uniformly over the box [-6, 7] x [-6, 6],
+    draw i with its partner on quadratic branch i % 2.  Draws with a shape
+    within 1e-3 of 0 or 1 are dropped; the first n left are returned in
+    draw order (fewer if more than n were dropped).
     """
     zs = (rng.uniform(-6.0, 7.0, size=2 * n)
           + 1j * rng.uniform(-6.0, 6.0, size=2 * n))
-    out = []
-    for i, z in enumerate(zs):
-        if min(abs(z), abs(1 - z)) < 1e-3:
-            continue
-        w = _fig8_partner(z, branch=i % 2)
-        if min(abs(w), abs(1 - w)) < 1e-3:
-            continue
-        out.append((z, w))
-        if len(out) == n:
-            break
-    return np.asarray(out)
-
+    shapes = np.stack([zs, _fig8_partner(zs, np.arange(2 * n) % 2)], axis=1)
+    near_pole = (np.abs(shapes) < 1e-3) | (np.abs(1.0 - shapes) < 1e-3)
+    return shapes[~near_pole.any(axis=1)][:n]

@@ -79,6 +79,31 @@ def bloch_wigner_mpmath(z: complex, digits: int = 30) -> float:
                      + mpmath.arg(1 - w) * mpmath.log(abs(w)))
 
 
+def sample_gluing_variety_scalar(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, 2) figure-eight edge-equation solutions, one draw at a time.
+
+    Draw i of the 2n first shapes z takes the root w of
+    z^2 w^2 + (1-z) w - (1-z) = 0 with +disc for even i and -disc for odd
+    i (cmath.sqrt's principal branch); draws with a shape within 1e-3 of
+    0 or 1 are skipped, and the first n others are kept in draw order.
+    """
+    zs = (rng.uniform(-6.0, 7.0, size=2 * n)
+          + 1j * rng.uniform(-6.0, 6.0, size=2 * n))
+    out = []
+    for i, z in enumerate(zs):
+        if min(abs(z), abs(1 - z)) < 1e-3:
+            continue
+        a, b, c = z * z, (1.0 - z), -(1.0 - z)
+        disc = cmath.sqrt(b * b - 4.0 * a * c)
+        w = ((-b + disc) / (2 * a), (-b - disc) / (2 * a))[i % 2]
+        if min(abs(w), abs(1 - w)) < 1e-3:
+            continue
+        out.append((z, w))
+        if len(out) == n:
+            break
+    return np.asarray(out)
+
+
 def radial_length_numeric(r: float, n: int = 64) -> float:
     """Ball-metric length of the straight segment from the origin to radius r."""
     # Gauss-Legendre on [0, r] of the conformal factor 2/(1-t^2), analytic

@@ -84,6 +84,16 @@ class TestSubcommands:
         assert err.value.code == 2
         assert not any(tmp_path.iterdir())
 
+    # a one-step path stops at t = 0.02: rigidity-report once passed its
+    # monotonicity checks with nothing to compare, and volume-path failed
+    # near_ideal_deficit on a stand-in value 0.0
+    @pytest.mark.parametrize("command", ["volume-path", "rigidity-report"])
+    def test_one_step_exit_2(self, tmp_path, command):
+        with pytest.raises(SystemExit) as err:
+            run([command, "--steps", "1", "--out", str(tmp_path)])
+        assert err.value.code == 2
+        assert not any(tmp_path.iterdir())
+
     # a config file once bypassed the flag types: steps 0 failed on an
     # empty sequence, samples 0 on an empty reduction
     @pytest.mark.parametrize("command, key", [

@@ -3,6 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
+from natmap import criteria
 from natmap import geometry as geo
 from natmap import triangulation as tr
 import _oracles as oracles
@@ -46,6 +47,17 @@ class TestBlochWigner:
                                                    + 1j * r.standard_normal(n))])
         ref = np.array([oracles.bloch_wigner_mpmath(zi) for zi in z])
         assert np.max(np.abs(tr.bloch_wigner(z) - ref)) <= 1e-13
+
+    # volume_of_shapes reports 5e-15 per tetrahedron as its error
+    # estimate; the complex Li2's inversion prefactor -log(-z)^2 / 2 once
+    # cancelled to 5.2e-15 at |z| = 1e2 and 8.7e-15 at |z| = 1e4
+    @pytest.mark.parametrize("radius", [1e2, 1e4])
+    def test_large_modulus_within_error_estimate(self, radius):
+        r = np.random.default_rng(7)
+        z = radius * np.exp(1j * r.uniform(-np.pi, np.pi, 300))
+        ref = np.array([oracles.bloch_wigner_mpmath(zi) for zi in z])
+        err = np.max(np.abs(tr.bloch_wigner(z) - ref))
+        assert err <= tr.volume_of_shapes(z[:1]).error_estimate
 
     def test_symmetry_relations(self, rng):
         for _ in range(10):
@@ -262,6 +274,18 @@ class TestDeformationPath:
                 for st in path if st.min_pole_distance < 1e-2]
         assert tail and min(tail) > 0
 
+    # one step stopped at t = 0.02, far from the ideal point
+    def test_fewer_than_two_steps_rejected(self, tri):
+        with pytest.raises(ValueError, match="at least 2 steps"):
+            tr.deformation_path(tri, steps=1)
+
+    def test_volume_checks_need_a_step_near_a_pole(self, tri):
+        path = tr.deformation_path(tri, steps=4, t_end=0.6)
+        assert min(st.min_pole_distance for st in path) >= 1e-2
+        samples = tr.sample_gluing_variety(np.random.default_rng(8), 100)
+        with pytest.raises(ValueError, match="within 1e-2 of a pole"):
+            criteria.volume_checks(path, samples)
+
     def test_step_halving_consistency(self, tri):
         coarse = tr.deformation_path(tri, steps=10, t_end=0.8)
         fine = tr.deformation_path(tri, steps=19, t_end=0.8)
@@ -284,6 +308,14 @@ class TestVarietySampling:
             logs = np.array([tr.slot_logs(z), tr.slot_logs(w)])
             prods = np.exp(np.einsum("etc,tc->e", expo, logs))
             assert np.max(np.abs(prods - 1.0)) < 1e-9
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_scalar_reference(self, seed):
+        got = tr.sample_gluing_variety(np.random.default_rng(seed), 10_000)
+        ref = oracles.sample_gluing_variety_scalar(np.random.default_rng(seed), 10_000)
+        assert got.shape == ref.shape == (10_000, 2)
+        assert np.array_equal(got[:, 0], ref[:, 0])
+        assert np.max(np.abs(got[:, 1] - ref[:, 1]) / np.abs(ref[:, 1])) <= 1e-13
 
     def test_volume_bounded_by_complete(self, tri, rng):
         samples = tr.sample_gluing_variety(rng, 2000)
