@@ -265,7 +265,7 @@ def cmd_volume_path(args) -> int:
                "t,re_z0,im_z0,re_z1,im_z1,volume,deficit,translation_lengths",
                rows)
     rep.check("path_deficit_positive", -res.path_deficit, -1e-6,
-              budget="straight-map volume along the continuation path")
+              budget="straight-map volume along the deformation path")
     rep.check("near_ideal_deficit", -res.tail_deficit, -1e-6,
               budget="tail = steps with a shape within 1e-2 of a pole")
     rep.check("variety_volume_bound", res.sample_volume, FIG8_VOLUME + 1e-9,
@@ -322,6 +322,14 @@ def positive_int(text: str) -> int:
     return _int_at_least(text, 1)
 
 
+def positive_float(text: str) -> float:
+    """argparse type of --tol: a float above 0, which a gradient norm can fall below."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be above 0, got {value}")
+    return value
+
+
 def psi_dimension(text: str) -> int:
     """argparse type of --k: psi has a maximum only on k x k matrices, k >= 3."""
     return _int_at_least(text, 3)
@@ -342,7 +350,7 @@ _COMMANDS = (
      (("--k", psi_dimension, 3), ("--eps", float, 1e-4),
       ("--trials", positive_int, 100_000)), 0),
     ("barycenter-suite", cmd_barycenter_suite, "barycenter solver checks",
-     (("--tol", float, 1e-10),), 7),
+     (("--tol", positive_float, 1e-10),), 7),
     ("natural-map-suite", cmd_natural_map_suite, "natural map and Jacobian checks",
      (("--nodes", positive_int, 2000), ("--m", int, 5)), 0),
     ("volume-path", cmd_volume_path, "figure-eight volumes and rigidity scan",

@@ -29,10 +29,6 @@ class DevelopingFailureError(RuntimeError):
     """Shapes are too degenerate to develop the triangulation."""
 
 
-class ContinuationStallError(RuntimeError):
-    """The path-following corrector failed even after step halving."""
-
-
 # ---------------------------------------------------------------------------
 # Bloch-Wigner dilogarithm
 # ---------------------------------------------------------------------------
@@ -58,9 +54,10 @@ def bloch_wigner(z) -> float | np.ndarray:
     with cross ratio z.  Real z (flat tetrahedra) return exactly 0.
 
     D(1/z) = D(1-z) = -D(z), so z is reduced to w with |w| <= 1 and
-    Re w <= 1/2 (1/z where |z| > 1, then 1 - w where Re w > 1/2), and D is
-    negated where one reduction applied.  There |u| = |log(1-w)| <= pi/3,
-    and the Debye series reaches double precision, on the unit circle too.
+    Re w <= 1/2 (1/z where |z| > 1, then 1 - w where Re w > 1/2, as (z - 1)/z
+    after 1/z, exact near z = 1), and D is negated where one reduction
+    applied.  There |u| = |log(1-w)| <= pi/3, and the Debye series reaches
+    double precision, on the unit circle too.
     """
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
@@ -70,7 +67,7 @@ def bloch_wigner(z) -> float | np.ndarray:
     inv = np.abs(z) > 1.0
     w = np.where(inv, 1.0 / z, z)
     refl = np.real(w) > 0.5
-    w = np.where(refl, 1.0 - w, w)
+    w = np.where(refl, np.where(inv, (z - 1.0) / z, 1.0 - w), w)
     u = -np.log(1.0 - w)
     val = np.imag(u * np.polyval(_DEBYE, u)) + np.angle(1.0 - w) * np.log(np.abs(w))
     val = np.where(inv ^ refl, -val, val)
@@ -216,19 +213,13 @@ class ResidualReport:
         return float(np.max(np.abs(self.cusp))) if self.cusp.size else 0.0
 
 
-def _edge_residual(tri: IdealTriangulation, z: np.ndarray):
-    """The (T, 3) slot logs of the shapes z and the log edge equations'
-    residuals, log-sum minus 2 pi i per edge class."""
-    logs = np.array([slot_logs(zi) for zi in z])
-    return logs, np.einsum("etc,tc->e", tri.edge_exponents, logs) - TWO_PI_I
-
-
 def gluing_residual(tri: IdealTriangulation, shapes) -> ResidualReport:
     """Edge equation residuals (and cusp residuals) at the given shapes."""
     z = np.asarray(shapes, dtype=complex)
     if np.any((z == 0) | (z == 1)):
         raise ValueError("shape parameter at a pole")
-    logs, edge = _edge_residual(tri, z)
+    logs = np.array([slot_logs(zi) for zi in z])
+    edge = np.einsum("etc,tc->e", tri.edge_exponents, logs) - TWO_PI_I
     cusp = np.array([np.sum(np.asarray(row) * logs) for row in tri.cusp_rows])
     return ResidualReport(edge, cusp)
 
@@ -463,42 +454,13 @@ def holonomy_from_shapes(tri: IdealTriangulation, shapes,
 # the gluing variety of the figure-eight: sampling and paths
 # ---------------------------------------------------------------------------
 
-def _fig8_partner(z, branch):
-    """w with z^2 w^2 = (1-z)(1-w), the rectangular edge equation, elementwise:
-    the root of z^2 w^2 + (1-z) w - (1-z) = 0 that takes +disc on branch 0
-    and -disc on branch 1."""
+def solve_edge_equations(z, branch):
+    """The partner w of the first shape z on the figure-eight's gluing variety,
+    elementwise: the root of z^2 w^2 = (1-z)(1-w), the rectangular edge
+    equation, with +disc on branch 0 and -disc on branch 1."""
     a, b = z * z, 1.0 - z
     disc = np.sqrt(b * b + 4.0 * a * b)
     return (-b + (1 - 2 * branch) * disc) / (2 * a)
-
-
-def solve_edge_equations(tri: IdealTriangulation, start):
-    """Newton-solve the log edge equations with the first shape pinned, to
-    a residual below 1e-12 within 80 steps.
-
-    The edge rows are redundant (their sum is a multiple of the constant
-    rows), so one shape coordinate stays fixed and the remaining ones are
-    corrected by a least-squares Newton step.
-    """
-    z = np.asarray(start, dtype=complex).copy()
-    free = list(range(1, z.size))
-    expo = tri.edge_exponents
-    for _ in range(80):
-        _, F = _edge_residual(tri, z)
-        if np.max(np.abs(F)) < 1e-12:
-            return z
-        # d slot_logs / dz = (1/z, 1/(1-z), 1/(z(z-1)))
-        J = np.zeros((expo.shape[0], len(free)), dtype=complex)
-        for col, t in enumerate(free):
-            d = np.array([1.0 / z[t], 1.0 / (1.0 - z[t]),
-                          1.0 / (z[t] * (z[t] - 1.0))])
-            J[:, col] = expo[:, t, :] @ d
-        step, *_ = np.linalg.lstsq(J, -F, rcond=None)
-        limit = 0.5 * np.max(np.abs(z[free]))
-        if np.max(np.abs(step)) > limit:
-            step = step * (limit / np.max(np.abs(step)))
-        z[free] = z[free] + step
-    raise ContinuationStallError("Newton failed to reach the edge equations")
 
 
 @dataclass(frozen=True)
@@ -514,44 +476,27 @@ class PathStep:
 
 def deformation_path(tri: IdealTriangulation, steps: int,
                      t_end: float = 0.9905) -> list[PathStep]:
-    """Continuation along the gluing variety toward a shape degeneration.
+    """Points of the gluing variety along a path toward a shape degeneration.
 
     The complete structure at t = 0 comes first, then ``steps`` values of t
     from 0.02 to ``t_end``.  The first shape moves on the straight segment
-    from the complete value toward the pole at 1; the remaining shapes are
-    corrected by Newton at every step, with step halving on stalls.  The
-    partner shape runs to 0, so the end of the path approaches an ideal
-    point of the variety, if ``steps`` is at least 2 (one step ends at 0.02).
+    from the complete value toward the pole at 1, and the partner is its
+    branch-1 root, the one continued from the complete structure: on the
+    segment disc^2 keeps |arg| <= pi/3, off the square root's cut.  The
+    partner runs to 0, so the end of the path approaches an ideal point of
+    the variety, if ``steps`` is at least 2 (one step ends at 0.02).
     """
     if tri.name != "figure-eight":
         raise ValueError("built-in paths exist for the figure-eight only")
     if steps < 2:
         raise ValueError(f"a path needs at least 2 steps, got {steps}")
     z0 = FIG8_COMPLETE_SHAPE
-    current = np.array([z0, z0])
-    out = [_path_step(tri, 0.0, current.copy())]
-    ts = np.linspace(0.02, t_end, steps)
-    prev_t = 0.0
-    for t in ts:
-        got = None
-        sub_from, sub_to, pieces = prev_t, t, 1
-        while pieces <= 64:
-            try:
-                trial = current.copy()
-                for j in range(1, pieces + 1):
-                    tt = sub_from + (sub_to - sub_from) * j / pieces
-                    trial[0] = z0 + tt * (1.0 - z0)     # toward the pole at 1
-                    trial = solve_edge_equations(tri, trial)
-                got = trial
-                break
-            except ContinuationStallError:
-                pieces *= 2
-        if got is None:
-            raise ContinuationStallError(f"continuation stalled at t = {t}")
-        current = got
-        out.append(_path_step(tri, float(t), current.copy()))
-        prev_t = t
-    return out
+    ts = np.concatenate([[0.0], np.linspace(0.02, t_end, steps)])
+    z = z0 + ts * (1.0 - z0)
+    w = solve_edge_equations(z, 1)
+    w[0] = z0       # the complete structure, which branch 1 gives to an ulp
+    return [_path_step(tri, float(t), np.array([zi, wi]))
+            for t, zi, wi in zip(ts, z, w)]
 
 
 def _path_step(tri: IdealTriangulation, t: float, shapes: np.ndarray) -> PathStep:
@@ -573,6 +518,6 @@ def sample_gluing_variety(rng: np.random.Generator, n: int) -> np.ndarray:
     """
     zs = (rng.uniform(-6.0, 7.0, size=2 * n)
           + 1j * rng.uniform(-6.0, 6.0, size=2 * n))
-    shapes = np.stack([zs, _fig8_partner(zs, np.arange(2 * n) % 2)], axis=1)
+    shapes = np.stack([zs, solve_edge_equations(zs, np.arange(2 * n) % 2)], axis=1)
     near_pole = (np.abs(shapes) < 1e-3) | (np.abs(1.0 - shapes) < 1e-3)
     return shapes[~near_pole.any(axis=1)][:n]

@@ -79,6 +79,19 @@ def bloch_wigner_mpmath(z: complex, digits: int = 30) -> float:
                      + mpmath.arg(1 - w) * mpmath.log(abs(w)))
 
 
+def fig8_partner_roots_mpmath(z: complex, digits: int = 40) -> tuple[complex, complex]:
+    """Both roots w of z^2 w^2 + (1 - z) w - (1 - z) = 0, the figure-eight's
+    edge equation over the first shape z, from mpmath's polynomial root
+    finder at ``digits`` significant digits, each rounded once to a
+    complex double."""
+    import mpmath
+    with mpmath.workdps(digits):
+        zz = mpmath.mpc(z.real, z.imag)
+        roots = mpmath.polyroots([zz * zz, 1 - zz, zz - 1], maxsteps=200,
+                                 extraprec=digits)
+        return complex(roots[0]), complex(roots[1])
+
+
 def sample_gluing_variety_scalar(rng: np.random.Generator, n: int) -> np.ndarray:
     """(n, 2) figure-eight edge-equation solutions, one draw at a time.
 

@@ -84,6 +84,15 @@ class TestSubcommands:
         assert err.value.code == 2
         assert not any(tmp_path.iterdir())
 
+    # --tol 0, -1 and nan once ran 200 iterations and ended in a
+    # NoConvergenceError traceback (exit 1) with no report written
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_tol_not_positive_exit_2(self, tmp_path, value):
+        with pytest.raises(SystemExit) as err:
+            run(["barycenter-suite", "--tol", value, "--out", str(tmp_path)])
+        assert err.value.code == 2
+        assert not any(tmp_path.iterdir())
+
     # a one-step path stops at t = 0.02: rigidity-report once passed its
     # monotonicity checks with nothing to compare, and volume-path failed
     # near_ideal_deficit on a stand-in value 0.0

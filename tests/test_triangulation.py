@@ -59,6 +59,16 @@ class TestBlochWigner:
         err = np.max(np.abs(tr.bloch_wigner(z) - ref))
         assert err <= tr.volume_of_shapes(z[:1]).error_estimate
 
+    # where both reductions apply, 1 - 1/z was once formed by subtraction,
+    # and D kept only its absolute accuracy: 1.1e-13 relative here
+    def test_near_one_relative_accuracy(self):
+        r = np.random.default_rng(7)
+        radius = 10.0 ** r.uniform(-4, -1, 500)
+        z = 1.0 + radius * np.exp(1j * r.uniform(-np.pi / 2, np.pi / 2, 500))
+        assert np.all(np.abs(z) > 1.0) and np.all(np.real(1.0 / z) > 0.5)
+        ref = np.array([oracles.bloch_wigner_mpmath(zi) for zi in z])
+        assert np.max(np.abs(tr.bloch_wigner(z) - ref) / np.abs(ref)) <= 1e-15
+
     def test_symmetry_relations(self, rng):
         for _ in range(10):
             z = complex(rng.uniform(-2, 2), rng.uniform(0.05, 2))
@@ -153,7 +163,7 @@ class TestVolume:
 
     def test_conjugation_negates(self):
         z = complex(0.4, 0.9)
-        w = tr._fig8_partner(z, 0)
+        w = tr.solve_edge_equations(z, 0)
         plus = tr.volume_of_shapes([z, w]).value
         minus = tr.volume_of_shapes([np.conj(z), np.conj(w)]).value
         assert minus == pytest.approx(-plus, abs=1e-12)
@@ -197,9 +207,9 @@ class TestHolonomy:
 
     def test_deformed_holonomy(self, tri):
         z = Z0 + 0.15 + 0.05j
-        w = tr._fig8_partner(z, 0)
+        w = tr.solve_edge_equations(z, 0)
         if abs(w - Z0) > 1.0:
-            w = tr._fig8_partner(z, 1)
+            w = tr.solve_edge_equations(z, 1)
         rep = tr.holonomy_from_shapes(tri, [z, w], tr.gluing_residual(tri, [z, w]))
         assert rep.relator_residual(rep.relators[0]) <= 1e-8
         assert geo.translation_length(rep.evaluate("a")) > 1e-8
@@ -207,9 +217,9 @@ class TestHolonomy:
 
     def test_developed_cross_ratios_reproduce_volume(self, tri):
         z = Z0 + 0.1 - 0.04j
-        w = tr._fig8_partner(z, 0)
+        w = tr.solve_edge_equations(z, 0)
         if abs(w - Z0) > 1.0:
-            w = tr._fig8_partner(z, 1)
+            w = tr.solve_edge_equations(z, 1)
         placements, _ = tr.develop(tri, [z, w])
         redone = [oracles.cross_ratio(*pos) for pos in placements]
         direct = tr.volume_of_shapes([z, w]).value
@@ -286,18 +296,49 @@ class TestDeformationPath:
         with pytest.raises(ValueError, match="within 1e-2 of a pole"):
             criteria.volume_checks(path, samples)
 
-    def test_step_halving_consistency(self, tri):
+    def test_shared_parameters_give_the_same_step(self, tri):
         coarse = tr.deformation_path(tri, steps=10, t_end=0.8)
         fine = tr.deformation_path(tri, steps=19, t_end=0.8)
-        # shared parameter values solve the same equations: volumes agree
-        coarse_map = {round(p.t, 12): p.volume.value for p in coarse}
+        # a step depends on its t alone: shared values give the same bits
+        coarse_map = {round(p.t, 12): p for p in coarse}
         hits = 0
         for p in fine:
             key = round(p.t, 12)
             if key in coarse_map:
                 hits += 1
-                assert p.volume.value == pytest.approx(coarse_map[key], abs=1e-8)
+                q = coarse_map[key]
+                assert p.t == q.t
+                assert np.array_equal(p.shapes, q.shapes)
+                assert p.volume.value == q.volume.value
         assert hits >= 5
+
+    # the partners once came from a least-squares Newton corrector that
+    # stopped at residual 1e-12: 6.3e-13 relative from the exact root, and
+    # volumes 3.1e-13 off against an error estimate of 1e-14
+    def test_partners_are_the_exact_roots(self, tri):
+        for st in tr.deformation_path(tri, 50):
+            z, w = st.shapes
+            exact = min(oracles.fig8_partner_roots_mpmath(z), key=lambda r: abs(r - w))
+            assert abs(w - exact) <= 1e-15 * abs(exact)
+
+    def test_volumes_within_error_estimate_of_exact_roots(self, tri):
+        for st in tr.deformation_path(tri, 50):
+            z, w = st.shapes
+            exact = min(oracles.fig8_partner_roots_mpmath(z), key=lambda r: abs(r - w))
+            ref = oracles.bloch_wigner_mpmath(z) + oracles.bloch_wigner_mpmath(exact)
+            assert abs(st.volume.value - ref) <= st.volume.error_estimate
+
+    def test_branch_one_is_continuous_on_the_segment(self):
+        # disc^2 stays 2 pi / 3 away from the square root's cut on the
+        # whole segment from the complete shape to the pole at 1, and
+        # branch 1 starts at the complete structure
+        t = np.linspace(0.0, 1.0, 100_000, endpoint=False)
+        z = Z0 + t * (1.0 - Z0)
+        b = 1.0 - z
+        assert np.max(np.abs(np.angle(b * b + 4.0 * z * z * b))) <= np.pi / 3 + 1e-9
+        w0 = tr.solve_edge_equations(Z0, 1)
+        assert abs(w0.real - Z0.real) <= 2 * np.spacing(Z0.real)
+        assert abs(w0.imag - Z0.imag) <= 2 * np.spacing(Z0.imag)
 
 
 class TestVarietySampling:
