@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import criteria, spd
-from .barycenter import SolverConfig
+from .barycenter import NoConvergenceError, SolverConfig
 from .geometry import HPoint, random_isometry
 from .measures import VisualFamily, atomic_measure
 from .natural_map import UnresolvedVisualMeasureError
@@ -52,11 +52,15 @@ class _Report:
     def resolving(self, section: str):
         """Runs one section of the checks.  Where the quadrature cannot
         resolve the visual density at a basepoint, as at a coarse --nodes,
-        the section ends as one failed assertion instead of a traceback."""
+        or a barycenter solve stops short of its tolerance, as at a --tol
+        below the gradient's rounding, the section ends as one failed
+        assertion instead of a traceback."""
         try:
             yield
         except UnresolvedVisualMeasureError as exc:
             self.note(f"{section}_visual_measure_resolved", False, str(exc))
+        except NoConvergenceError as exc:
+            self.note(f"{section}_converged", False, str(exc))
 
     @property
     def passed(self) -> bool:
@@ -161,18 +165,19 @@ def cmd_barycenter_suite(args) -> int:
         if m is not None:
             equivariance.append((m, random_isometry(rng, 3, 0.7, 0.7)))
     oracle = [_spread_atoms(rng, 4) for _ in range(20)]
-    res = criteria.barycenter_checks([(i, m) for i, m in stationarity if m is not None],
-                                     equivariance, [m for m in oracle if m is not None],
-                                     SolverConfig(gradient_tol=args.tol))
-    rep.check("stationarity", res.gradient, args.tol, budget="Newton gradient tolerance")
-    _write_csv(Path(args.out), "barycenter-stationarity.csv",
-               "index,gradient_norm,iterations",
-               [f"{i},{_fmt(g)},{it}" for i, g, it in res.rows])
-    rep.check("equivariance", res.equivariance, 1e-8,
-              budget="two solves at gradient tolerance 1e-12")
-    rep.check("grid_oracle_agreement", res.oracle, 2e-3,
-              budget="pattern search to chart step 1e-4")
-    rep.note("two_equal_atoms_raises", res.two_equal_atoms_raise)
+    with rep.resolving("barycenter"):
+        res = criteria.barycenter_checks([(i, m) for i, m in stationarity if m is not None],
+                                         equivariance, [m for m in oracle if m is not None],
+                                         SolverConfig(gradient_tol=args.tol))
+        rep.check("stationarity", res.gradient, args.tol, budget="Newton gradient tolerance")
+        _write_csv(Path(args.out), "barycenter-stationarity.csv",
+                   "index,gradient_norm,iterations",
+                   [f"{i},{_fmt(g)},{it}" for i, g, it in res.rows])
+        rep.check("equivariance", res.equivariance, 1e-8,
+                  budget="two solves at gradient tolerance 1e-12")
+        rep.check("grid_oracle_agreement", res.oracle, 2e-3,
+                  budget="pattern search to chart step 1e-4")
+        rep.note("two_equal_atoms_raises", res.two_equal_atoms_raise)
     return rep.dump(Path(args.out))
 
 

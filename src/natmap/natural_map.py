@@ -211,22 +211,18 @@ class OrbitBoundaryMap:
     entry of the nearest source fixed point.  Equivariance holds exactly on
     the table and only approximately elsewhere, so the map is flagged
     ``approximate`` and every consumer should label results accordingly.
-
-    The target fixed points are computed on demand, only for the entries a
-    query lands on; ``table_target`` completes and returns the whole half.
+    Both halves are computed when the table is built.
     """
 
     approximate = True
 
-    def __init__(self, table_source: np.ndarray, target_spins: np.ndarray):
+    def __init__(self, table_source: np.ndarray, table_target: np.ndarray):
         from scipy.spatial import cKDTree
 
         self.table_source = table_source
-        self._target_spins = target_spins
-        self._target = np.empty((len(target_spins), 3))
-        self._filled = np.zeros(len(target_spins), dtype=bool)
+        self.table_target = table_target
         self.source_dim = table_source.shape[1]
-        self.target_dim = self._target.shape[1]
+        self.target_dim = table_target.shape[1]
         self._tree = cKDTree(table_source)
 
     @classmethod
@@ -238,8 +234,8 @@ class OrbitBoundaryMap:
 
         Works on all words at once from the k = 3 spin matrices, which
         ``translation_length`` classifies and ``loxodromic_fixed_points``
-        (on demand, for the target) resolves, and takes the source half
-        from ``source._orbit_table_source``.
+        resolves, and takes the source half from
+        ``source._orbit_table_source``.
         """
         if len(source.generators) != len(target.generators):
             raise ValueError("representations must share a generating set")
@@ -252,24 +248,11 @@ class OrbitBoundaryMap:
             raise ValueError(
                 f"orbit table too small ({n} < {min_table}); "
                 "increase max_word_length")
-        return cls(src_fixed[tgt_lox[src_lox]], tgt[keep])
-
-    def _fill(self, idx: np.ndarray) -> None:
-        # LAPACK factors and solves each matrix of a batch on its own, so
-        # an entry is bitwise the same whichever batch computes it
-        need = np.unique(idx[~self._filled[idx]])
-        self._target[need] = loxodromic_fixed_points(self._target_spins[need])
-        self._filled[need] = True
-
-    @property
-    def table_target(self) -> np.ndarray:
-        self._fill(np.flatnonzero(~self._filled))
-        return self._target
+        return cls(src_fixed[tgt_lox[src_lox]], loxodromic_fixed_points(tgt[keep]))
 
     def map_points(self, points: np.ndarray) -> np.ndarray:
         _, idx = self._tree.query(points)
-        self._fill(idx)
-        return self._target[idx]
+        return self.table_target[idx]
 
 
 # ---------------------------------------------------------------------------

@@ -200,24 +200,30 @@ def translation_length_scalar(A: np.ndarray) -> float:
     return ell if ell > 1e-12 else 0.0
 
 
-def loxodromic_fixed_points_scalar(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def loxodromic_fixed_points_scalar(A: np.ndarray, digits: int = 40
+                                   ) -> tuple[np.ndarray, np.ndarray]:
     """(attracting, repelling) ideal fixed points, as unit vectors, of the
-    loxodromic isometry of H^3 with one 2x2 complex matrix A: the
-    eigenvectors (z0, z1) of largest and smallest eigenvalue modulus,
-    projected from the Riemann sphere one at a time as
-    (2 Re w, -2 Im w, |z0|^2 - |z1|^2) / (|z0|^2 + |z1|^2), w = z0 z1*."""
-    A = np.asarray(A, dtype=complex)
-    A = A / cmath.sqrt(complex(np.linalg.det(A)))
-    vals, vecs = np.linalg.eig(A)
-    order = np.argsort(np.abs(vals))
-    pts = []
-    for j in (order[-1], order[0]):
-        z0, z1 = vecs[0, j], vecs[1, j]
-        w = z0 * z1.conjugate()
-        n0 = z0.real * z0.real + z0.imag * z0.imag
-        n1 = z1.real * z1.real + z1.imag * z1.imag
-        s = n0 + n1
-        pts.append(np.array([2.0 * w.real / s, -2.0 * w.imag / s, (n0 - n1) / s]))
+    loxodromic isometry of H^3 with one 2x2 complex matrix A, exact to
+    ``digits`` for the float entries given: the eigenvalues tr/2 +- sqrt(
+    (tr/2)^2 - det) in mpmath, each one's eigenvector (b, lambda - a) or
+    (lambda - d, c), whichever is longer, projected from the Riemann sphere
+    as (2 Re w, -2 Im w, |z0|^2 - |z1|^2) / (|z0|^2 + |z1|^2), w = z0 z1*."""
+    import mpmath
+    with mpmath.workdps(digits):
+        a, b, c, d = (mpmath.mpc(complex(x).real, complex(x).imag)
+                      for x in np.asarray(A).ravel())
+        half = (a + d) / 2
+        root = mpmath.sqrt(half * half - (a * d - b * c))
+        vals = sorted((half + root, half - root), key=abs, reverse=True)
+        pts = []
+        for lam in vals:
+            z0, z1 = max(((b, lam - a), (lam - d, c)),
+                         key=lambda v: abs(v[0]) ** 2 + abs(v[1]) ** 2)
+            w = z0 * mpmath.conj(z1)
+            n0, n1 = abs(z0) ** 2, abs(z1) ** 2
+            s = n0 + n1
+            pts.append(np.array([float(2 * w.real / s), float(-2 * w.imag / s),
+                                 float((n0 - n1) / s)]))
     return pts[0], pts[1]
 
 

@@ -49,3 +49,13 @@ def random_spin_isometry(rng):
     """Random 2x2 complex matrix of unit determinant."""
     A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     return A / np.sqrt(np.linalg.det(A))
+
+
+def fixed_point_condition(A):
+    """kappa = |A / sqrt(det A)|_F^2 / |lambda - 1/lambda| of each matrix of
+    an (n, 2, 2) stack, lambda an eigenvalue of A / sqrt(det A): how far
+    the attracting fixed point moves, relative to a relative perturbation
+    of A."""
+    vals = np.linalg.eigvals(A)
+    return (np.sum(np.abs(A) ** 2, axis=(1, 2))
+            / (np.sqrt(np.abs(np.linalg.det(A))) * np.abs(vals[:, 0] - vals[:, 1])))

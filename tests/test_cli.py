@@ -93,6 +93,16 @@ class TestSubcommands:
         assert err.value.code == 2
         assert not any(tmp_path.iterdir())
 
+    # a positive --tol below the gradient's rounding once ended in a
+    # NoConvergenceError traceback (exit 1) with no report written
+    def test_tol_below_rounding_reports_no_convergence(self, tmp_path):
+        assert run(["barycenter-suite", "--tol", "1e-20", "--out", str(tmp_path)]) == 1
+        data = json.loads((tmp_path / "barycenter-suite.json").read_text())
+        assert [(a["name"], a["pass"]) for a in data["assertions"]] == [
+            ("barycenter_converged", False)]
+        assert "no convergence" in data["assertions"][0]["detail"]
+        assert data["pass"] is False
+
     # a one-step path stops at t = 0.02: rigidity-report once passed its
     # monotonicity checks with nothing to compare, and volume-path failed
     # near_ideal_deficit on a stand-in value 0.0
