@@ -24,7 +24,7 @@ import numpy as np
 from .geometry import (
     BoundaryPoint,
     HPoint,
-    _exp_chart,
+    _exp_frame,
     busemann_chords,
     busemann_gradients_frame,
     busemann_many,
@@ -39,9 +39,6 @@ ARMIJO_SLOPE = 1e-4
 HESSIAN_FLOOR = 1e-8
 # Newton steps before NoConvergenceError
 MAX_ITERATIONS = 200
-# a point the ball chart holds has 1 - |x|^2 >= 2^-53, so it lies within
-# hyperbolic distance log(4 / 2^-53) = 55 log 2 ~ 38.1 of the origin
-CHART_DIAMETER = 110.0 * np.log(2.0)
 
 
 class TwoEqualAtomsError(ValueError):
@@ -155,11 +152,10 @@ def barycenter(beta: BoundaryMeasure, cfg: SolverConfig | None = None,
             reason = f"I - H has smallest eigenvalue {eigmin:.3g} < {HESSIAN_FLOOR:g}"
             break
         step_frame = -np.linalg.solve(Hf, g)
-        chart_step = (1.0 - float(np.dot(y, y))) / 2.0 * step_frame
         if gnorm < 1e-6:
             # quadratic-convergence regime: phi decreases by less than float
             # resolution, so backtracking is blind; take the full step
-            y = _exp_chart(y, chart_step)
+            y = _exp_frame(y, step_frame)
             chords = busemann_chords(y, beta.points)
             val = None
             continue
@@ -168,19 +164,16 @@ def barycenter(beta: BoundaryMeasure, cfg: SolverConfig | None = None,
         # Armijo backtracking along the geodesic through the Newton step, a
         # descent direction since I - H is positive definite
         slope = float(np.dot(g, step_frame))
-        length = float(np.linalg.norm(step_frame))    # hyperbolic, at t = 1
         t = 1.0
         while t > 1e-16:
-            # a trial longer than the chart's diameter, or one that rounding
-            # puts outside the ball chart, is a failed step: phi is not
-            # defined there, and the long one is skipped before cosh overflows
-            if t * length <= CHART_DIAMETER:
-                cand = _exp_chart(y, t * chart_step)
-                if np.dot(cand, cand) < 1.0:
-                    cand_chords = busemann_chords(cand, beta.points)
-                    trial = _phi_chart(beta, cand, cand_chords)
-                    if trial <= val + ARMIJO_SLOPE * t * slope:
-                        break
+            # a trial that rounding puts on the sphere (a long step, where
+            # tanh saturates) is a failed step: phi is not defined there
+            cand = _exp_frame(y, t * step_frame)
+            if np.dot(cand, cand) < 1.0:
+                cand_chords = busemann_chords(cand, beta.points)
+                trial = _phi_chart(beta, cand, cand_chords)
+                if trial <= val + ARMIJO_SLOPE * t * slope:
+                    break
             t *= ARMIJO_CONTRACTION
         else:
             reason = "the Armijo line search found no decrease along the Newton step"

@@ -335,9 +335,15 @@ def positive_float(text: str) -> float:
     return value
 
 
-def psi_dimension(text: str) -> int:
-    """argparse type of --k: psi has a maximum only on k x k matrices, k >= 3."""
+def dimension(text: str) -> int:
+    """argparse type of --k and --m: psi has a maximum only on k x k
+    matrices, k >= 3, and the target sphere S^(m-1) is at least S^2."""
     return _int_at_least(text, 3)
+
+
+def rng_seed(text: str) -> int:
+    """argparse type of --seed: numpy seeds a generator from an integer >= 0."""
+    return _int_at_least(text, 0)
 
 
 def path_steps(text: str) -> int:
@@ -349,15 +355,15 @@ def path_steps(text: str) -> int:
 # name, handler, help, command flags (flag, type, default), default seed
 _COMMANDS = (
     ("psi-scan", cmd_psi_scan, "maximum and boundary analysis of psi",
-     (("--k", psi_dimension, 3), ("--margin", float, 1e-3),
+     (("--k", dimension, 3), ("--margin", float, 1e-3),
       ("--samples", positive_int, 100_000)), 0),
     ("psi-converse", cmd_psi_converse, "level sets of psi near the maximum",
-     (("--k", psi_dimension, 3), ("--eps", float, 1e-4),
+     (("--k", dimension, 3), ("--eps", float, 1e-4),
       ("--trials", positive_int, 100_000)), 0),
     ("barycenter-suite", cmd_barycenter_suite, "barycenter solver checks",
      (("--tol", positive_float, 1e-10),), 7),
     ("natural-map-suite", cmd_natural_map_suite, "natural map and Jacobian checks",
-     (("--nodes", positive_int, 2000), ("--m", int, 5)), 0),
+     (("--nodes", positive_int, 2000), ("--m", dimension, 5)), 0),
     ("volume-path", cmd_volume_path, "figure-eight volumes and rigidity scan",
      (("--steps", path_steps, 50),), 0),
     ("rigidity-report", cmd_rigidity_report, "diagnostics along the deformation path",
@@ -375,7 +381,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         sp = commands[name] = sub.add_parser(name, help=help_text)
         for flag, kind, default in flags:
             sp.add_argument(flag, type=kind, default=default)
-        sp.add_argument("--seed", type=int, default=seed)
+        sp.add_argument("--seed", type=rng_seed, default=seed)
         sp.add_argument("--out", type=str, default="natmap-reports")
         sp.add_argument("--config", type=str, default=None,
                         help="JSON file with flag defaults; explicit flags win")

@@ -1,8 +1,9 @@
 """Models of real hyperbolic space H^k with numerical coordinates.
 
-Points and Busemann calculus live in the Poincare ball (closed forms are
-best conditioned there); isometries are Lorentz matrices acting on the
-hyperboloid.  Conversions between the two charts are explicit and exact.
+Points, Busemann calculus and the exponential map live in the Poincare
+ball (closed forms are best conditioned there); the hyperboloid is only the
+model of the Lorentz matrices that act as isometries, and `Isometry.apply`
+converts a point there and back.
 For k = 3 a holonomy is composed from 2x2 complex matrices in SL(2,C),
 whose long products round far less than 4x4 ones; translation lengths and
 attracting fixed points are read from stacks of those matrices, and
@@ -17,7 +18,8 @@ Conventions
 * Gradients and Hessians are given in frame components: coefficients in
   the conformal orthonormal frame E_i = ((1-|x|^2)/2) d/dx_i.  The frame
   components of a Busemann gradient form a unit Euclidean vector, and the
-  Hessian of B(., theta) is I - b b^T with b that vector.
+  Hessian of B(., theta) is I - b b^T with b that vector.  ``_exp_frame``
+  and ``_log_frame`` take and return tangent vectors in the same frame.
 * For k = 3 an ideal point is a homogeneous pair (z0, z1) in C^2, the
   point at infinity (1, 0) among them, and a 2x2 complex matrix A moves it
   to A @ (z0, z1); ``sphere_from_homogeneous`` gives its unit direction.
@@ -84,11 +86,6 @@ class BoundaryPoint:
         object.__setattr__(self, "direction", d)
 
 
-def conformal_factor(x: np.ndarray) -> float:
-    """lambda(x) = 2/(1-|x|^2), the ball-metric scale at x."""
-    return 2.0 / (1.0 - float(np.dot(x, x)))
-
-
 # ---------------------------------------------------------------------------
 # ball <-> hyperboloid conversions (array level)
 # ---------------------------------------------------------------------------
@@ -104,22 +101,6 @@ def ball_to_hyperboloid(x: np.ndarray) -> np.ndarray:
 
 def hyperboloid_to_ball(X: np.ndarray) -> np.ndarray:
     return X[1:] / (1.0 + X[0])
-
-def tangent_to_hyperboloid(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Pushforward of a chart vector u at ball point x."""
-    s = np.dot(x, x)
-    f = 2.0 / (1.0 - s)
-    xu = np.dot(x, u)
-    U = np.empty(x.size + 1)
-    U[0] = f * f * xu
-    U[1:] = f * f * xu * x + f * u
-    return U
-
-def tangent_to_ball(X: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Pull a hyperboloid tangent back to chart components at the ball image."""
-    x = hyperboloid_to_ball(X)
-    s = np.dot(x, x)
-    return (U[1:] - U[0] * x) * (1.0 - s) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -169,29 +150,29 @@ def busemann_gradients_frame(x: np.ndarray, directions: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# exponential and logarithm in the chart
+# exponential and logarithm in frame components
 # ---------------------------------------------------------------------------
 
-def _exp_chart(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    X = ball_to_hyperboloid(x)
-    U = tangent_to_hyperboloid(x, v)
-    t = np.sqrt(max(np.dot(U[1:], U[1:]) - U[0] * U[0], 0.0))
-    if t < 1e-300:
+def _exp_frame(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """exp_x(v) for a tangent vector v in frame components at x: the Mobius
+    sum x (+) w with w = tanh(|v|/2) v/|v|, the point at distance |v| from
+    the origin toward v, moved by the isometry that takes O to x."""
+    n = float(np.linalg.norm(v))
+    if n == 0.0:
         return x.copy()
-    Y = np.cosh(t) * X + np.sinh(t) / t * U
-    return hyperboloid_to_ball(Y)
+    w = np.tanh(n / 2.0) / n * v
+    xw, xx, ww = np.dot(x, w), np.dot(x, x), np.dot(w, w)
+    return ((1.0 + 2.0 * xw + ww) * x + (1.0 - xx) * w) / (1.0 + 2.0 * xw + xx * ww)
 
-def _log_chart(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    X = ball_to_hyperboloid(x)
-    Y = ball_to_hyperboloid(y)
-    c = X[0] * Y[0] - np.dot(X[1:], Y[1:])   # cosh of the distance
-    c = max(c, 1.0)
-    d = np.arccosh(c)
-    if d < 1e-300:
+def _log_frame(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """log_x(y) in frame components at x: the direction of (-x) (+) y,
+    formed from y - x without cancellation, scaled to `distance`(x, y)."""
+    d = y - x
+    u = (1.0 - np.dot(x, x)) * d - np.dot(d, d) * x
+    n = float(np.linalg.norm(u))
+    if n == 0.0:
         return np.zeros_like(x)
-    W = Y - c * X
-    sinh_d = np.sqrt(c * c - 1.0)
-    return tangent_to_ball(X, d / sinh_d * W)
+    return distance(HPoint(x), HPoint(y)) / n * u
 
 # ---------------------------------------------------------------------------
 # isometries

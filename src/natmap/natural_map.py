@@ -20,13 +20,12 @@ from .barycenter import BarycenterResult, barycenter
 from .geometry import (
     HPoint,
     Isometry,
-    _exp_chart,
-    _log_chart,
+    _exp_frame,
+    _log_frame,
     adjugate,
     busemann_chords,
     busemann_gradients_frame,
     busemann_many,
-    conformal_factor,
     distance,
     loxodromic_fixed_points,
     psl2_to_lorentz,
@@ -394,16 +393,14 @@ class JacobianResult:
 def _finite_difference_DF(pushed: PushedFamily, x: np.ndarray,
                           image: HPoint) -> np.ndarray:
     k = x.size
-    lam_f = conformal_factor(image.coords)
-    chart_scale = (1.0 - float(np.dot(x, x))) / 2.0
     cols = []
     for i in range(k):
         step = np.zeros(k)
-        step[i] = FD_STEP * chart_scale
-        fp = pushed.solve(_exp_chart(x, step)).image
-        fm = pushed.solve(_exp_chart(x, -step)).image
-        diff = _log_chart(image.coords, fp.coords) - _log_chart(image.coords, fm.coords)
-        cols.append(lam_f * diff / (2.0 * FD_STEP))
+        step[i] = FD_STEP
+        fp = pushed.solve(_exp_frame(x, step)).image
+        fm = pushed.solve(_exp_frame(x, -step)).image
+        diff = _log_frame(image.coords, fp.coords) - _log_frame(image.coords, fm.coords)
+        cols.append(diff / (2.0 * FD_STEP))
     return np.column_stack(cols)
 
 

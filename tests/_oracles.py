@@ -134,6 +134,48 @@ def busemann_limit_value(x: np.ndarray, direction: np.ndarray, t: float) -> floa
     return 2.0 * float(np.arcsinh(np.sqrt(q))) - t
 
 
+def _hyperboloid_lift_mpmath(x):
+    """The hyperboloid point (2 / (1 - |x|^2)) (1, x) - (1, 0) of the float
+    ball point x, and x itself, as mpmath numbers."""
+    import mpmath
+    xm = [mpmath.mpf(float(c)) for c in x]
+    f = 2 / (1 - mpmath.fsum(c * c for c in xm))
+    return [f - 1] + [f * c for c in xm], xm
+
+
+def exp_frame_mpmath(x: np.ndarray, v: np.ndarray, digits: int = 40) -> np.ndarray:
+    """exp_x(v) for a tangent vector v in frame components at the ball point
+    x, exact to ``digits`` for the float inputs given: cosh(t) X + sinh(t) V / t
+    on the hyperboloid, V the pushforward of v and t = |v|, mapped back by
+    Y[1:] / (1 + Y[0])."""
+    import mpmath
+    with mpmath.workdps(digits):
+        X, xm = _hyperboloid_lift_mpmath(x)
+        vm = [mpmath.mpf(float(c)) for c in v]
+        t = mpmath.sqrt(mpmath.fsum(c * c for c in vm))
+        # sum v_i E_i, E_i = ((1 - |x|^2) / 2) d/dx_i, pushes forward to
+        # (f <x, v>, f <x, v> x + v) with f = 2 / (1 - |x|^2) = X[0] + 1
+        fxv = (X[0] + 1) * mpmath.fsum(a * b for a, b in zip(xm, vm))
+        V = [fxv] + [fxv * a + b for a, b in zip(xm, vm)]
+        Y = [mpmath.cosh(t) * a + mpmath.sinh(t) / t * b for a, b in zip(X, V)]
+        return np.array([float(c / (1 + Y[0])) for c in Y[1:]])
+
+
+def log_frame_mpmath(x: np.ndarray, y: np.ndarray, digits: int = 40) -> np.ndarray:
+    """log_x(y) in frame components at the ball point x, exact to ``digits``
+    for the float inputs given: d W / sinh(d) with W = Y - cosh(d) X on the
+    hyperboloid, cosh(d) = -<X, Y>, read in the frame as W[1:] - W[0] x."""
+    import mpmath
+    with mpmath.workdps(digits):
+        X, xm = _hyperboloid_lift_mpmath(x)
+        Y, _ = _hyperboloid_lift_mpmath(y)
+        c = X[0] * Y[0] - mpmath.fsum(a * b for a, b in zip(X[1:], Y[1:]))
+        d = mpmath.acosh(c)
+        W = [b - c * a for a, b in zip(X, Y)]
+        scale = d / mpmath.sqrt(c * c - 1)
+        return np.array([float(scale * (w - W[0] * a)) for w, a in zip(W[1:], xm)])
+
+
 def sphere_monomial_expectation(k: int, exponents) -> float:
     """E[prod x_i^(2 a_i)] over the normalized round measure on S^(k-1)."""
     a = list(exponents)

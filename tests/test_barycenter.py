@@ -46,8 +46,8 @@ OUT_OF_BALL_TRIALS = [
 # the generic measure of unit 25659 and the pushed one of unit 9417 of the
 # atomic-barycenter benchmark at seed 102, with their gradient tolerances:
 # their first Newton steps are 791 and 722 long (lambda_min(I - H) = 1.7e-4
-# and 3.3e-4 at the initial guess), and _exp_chart overflows cosh at the
-# first trial lengths
+# and 3.3e-4 at the initial guess), so the first trials land on the sphere
+# or within rounding of it, where tanh(|v| / 2) is 1
 LONG_FIRST_STEPS = [
     (1e-10, [0.12744784113607205, 0.43367278672292703, 0.438879372141001],
      [[-0.9760510079081253, -0.13822446787674345, -0.1679834112099289],
@@ -87,7 +87,7 @@ class TestPhi:
             m = random_spread_measure(rng)
             a = random_ball_point(rng, max_radius=2.0)
             b = random_ball_point(rng, max_radius=2.0)
-            mid = geo.HPoint(geo._exp_chart(a.coords, 0.5 * geo._log_chart(a.coords, b.coords)))
+            mid = geo.HPoint(geo._exp_frame(a.coords, 0.5 * geo._log_frame(a.coords, b.coords)))
             # the midpoint is equidistant from both ends
             assert geo.distance(a, mid) == pytest.approx(geo.distance(mid, b), abs=1e-9)
             assert phi(m, mid) <= (phi(m, a) + phi(m, b)) / 2 + 1e-12
@@ -305,8 +305,8 @@ class TestBarycenter:
         assert isinstance(err.value.best, geo.HPoint)
 
     def test_long_newton_steps_do_not_overflow(self):
-        # a trial step longer than the ball chart's diameter is skipped
-        # before _exp_chart forms it
+        # trials on the sphere or within rounding of it fail the line
+        # search, with no warning, and the solve goes on to converge
         for tol, w, p in LONG_FIRST_STEPS:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")

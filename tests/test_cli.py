@@ -84,6 +84,31 @@ class TestSubcommands:
         assert err.value.code == 2
         assert not any(tmp_path.iterdir())
 
+    # a negative seed, as a flag or in a config file, once ended in a
+    # ValueError traceback (exit 1) from numpy, and psi-scan blamed --margin
+    @pytest.mark.parametrize("command", [
+        "psi-scan", "psi-converse", "barycenter-suite", "natural-map-suite",
+        "volume-path", "rigidity-report"])
+    @pytest.mark.parametrize("in_config", [False, True], ids=["flag", "config"])
+    def test_negative_seed_exit_2(self, tmp_path, command, in_config, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -2}))
+        out = tmp_path / "out"
+        argv = ["--config", str(cfg)] if in_config else ["--seed", "-1"]
+        with pytest.raises(SystemExit) as err:
+            run([command, *argv, "--out", str(out)])
+        assert err.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    # --m 2, 0 and -5 once skipped the geodesic-copy checks and passed
+    @pytest.mark.parametrize("value", ["2", "0", "-5"])
+    def test_natural_map_suite_m_below_3_exit_2(self, tmp_path, value):
+        with pytest.raises(SystemExit) as err:
+            run(["natural-map-suite", "--m", value, "--out", str(tmp_path)])
+        assert err.value.code == 2
+        assert not any(tmp_path.iterdir())
+
     # --tol 0, -1 and nan once ran 200 iterations and ended in a
     # NoConvergenceError traceback (exit 1) with no report written
     @pytest.mark.parametrize("value", ["0", "-1", "nan"])
